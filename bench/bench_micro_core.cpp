@@ -200,7 +200,8 @@ BENCHMARK(BM_EmissionLogProbs)->Arg(0)->Arg(1);
 // ------------------------------------------------------- kernel-level
 
 /// Shared fixture for the raw kernel benches: one prepared session
-/// (padded scratch tables) plus the dense Δ=1 transition tables.
+/// (padded scratch tables) plus the dense Δ=1 transition tables, in the
+/// probability and log domains.
 struct KernelFixture {
   core::Veritas veritas;
   core::Ehmm ehmm = veritas.make_ehmm();
@@ -209,7 +210,9 @@ struct KernelFixture {
   core::Ehmm::Scratch scratch;
   math::Matrix means;  ///< dense emission means (the Scratch path is
                        ///< zero-copy since PR 7, so build our own)
+  core::TransitionModel::StepLayouts layouts;
   sk::DeltaTables tables;
+  sk::DeltaTables log_tables;
   std::size_t k = 0;
   std::size_t stride = 0;
 
@@ -217,13 +220,9 @@ struct KernelFixture {
     (void)ehmm.forward_backward(obs, scratch);
     core::EstimatorCache means_cache;
     ehmm.emission_means_into(obs, means, means_cache);
-    const core::TransitionModel::PowerView view =
-        ehmm.transition().power_view(1);
-    tables.p = view.p->row_data(0);
-    tables.t = view.transposed->row_data(0);
-    tables.log_p = view.log_p->row_data(0);
-    tables.log_t = view.log_transposed->row_data(0);
-    tables.stride = view.p->col_stride();
+    using Domain = core::TransitionModel::Domain;
+    tables = ehmm.transition().tables(1, Domain::kProbability, layouts);
+    log_tables = ehmm.transition().tables(1, Domain::kLog, layouts);
     k = ehmm.space().size();
     stride = tables.stride;
   }
@@ -294,7 +293,8 @@ void BM_KernelViterbiStep(benchmark::State& state) {
   std::vector<double> curr(f.stride, 0.0);
   std::vector<std::uint32_t> back(f.stride, 0);
   for (auto _ : state) {
-    ops.viterbi_step(prev, f.tables, f.k, e_n, curr.data(), back.data());
+    ops.viterbi_step(prev, f.log_tables, f.k, e_n, curr.data(),
+                     back.data());
     benchmark::DoNotOptimize(curr.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *

@@ -47,8 +47,9 @@ struct SamplerConfig {
 
 class Ehmm {
  public:
-  /// Dense A^Δ table size built at construction; Δ beyond it falls back
-  /// to the TransitionModel's mutex-guarded memo (still correct, slower).
+  /// Dense A^Δ table size built at construction; Δ beyond it is served
+  /// by the TransitionModel's shared_mutex memo through the same kernels
+  /// (the step's transposed / log layouts are built into the Scratch).
   static constexpr std::size_t kDefaultPrecomputedPowers = 64;
 
   /// Cap on the multi-window emission span (kMultiWindow estimator).
@@ -86,6 +87,9 @@ class Ehmm {
     std::vector<double> log_scale;    ///< forward scaling factors
     std::vector<double> row;          ///< padded-K recursion buffer
     std::vector<std::uint32_t> back;  ///< flat N*stride Viterbi backpointers
+    /// Transposed / log layouts of the current long-gap step (Δ beyond
+    /// the dense power table), built by TransitionModel::tables.
+    TransitionModel::StepLayouts transition_layouts;
     /// The (W, S) estimator memo consulted by the emission phase. Owners
     /// that serve many sessions against one model point this at a shared
     /// cross-session cache (InferenceEngine and baum_welch_train do it

@@ -1,6 +1,8 @@
 #include "math/matrix.hpp"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/expects.hpp"
 
@@ -54,6 +56,19 @@ void Matrix::multiply_into(const Matrix& rhs, Matrix& out) const {
   VERITAS_EXPECTS(cols_ == rhs.rows_);
   VERITAS_EXPECTS(&out != this && &out != &rhs);
   out.resize(rows_, rhs.cols_, 0.0);
+  // Non-zero column range [lo, hi) of each rhs row. Outside it a term is
+  // a·0 = ±0, which leaves the accumulator unchanged, so skipping it —
+  // like skipping a zero `a` — gives the dense loop's exact bits while
+  // banded products (powers of a tridiagonal A) cost O(band) per row.
+  std::vector<std::pair<std::size_t, std::size_t>> nonzero(rhs.rows_);
+  for (std::size_t k = 0; k < rhs.rows_; ++k) {
+    const double* rhs_row = rhs.row_data(k);
+    std::size_t lo = 0;
+    std::size_t hi = rhs.cols_;
+    while (lo < hi && rhs_row[lo] == 0.0) ++lo;
+    while (hi > lo && rhs_row[hi - 1] == 0.0) --hi;
+    nonzero[k] = {lo, hi};
+  }
   // ikj order: the inner loop walks both rhs and out contiguously.
   for (std::size_t r = 0; r < rows_; ++r) {
     double* out_row = out.row_data(r);
@@ -61,7 +76,7 @@ void Matrix::multiply_into(const Matrix& rhs, Matrix& out) const {
       const double a = (*this)(r, k);
       if (a == 0.0) continue;
       const double* rhs_row = rhs.row_data(k);
-      for (std::size_t c = 0; c < rhs.cols_; ++c) {
+      for (std::size_t c = nonzero[k].first; c < nonzero[k].second; ++c) {
         out_row[c] += a * rhs_row[c];
       }
     }

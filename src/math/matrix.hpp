@@ -110,8 +110,11 @@ class Matrix {
   /// Matrix product; requires this->cols() == rhs.rows().
   Matrix operator*(const Matrix& rhs) const;
 
-  /// out = (*this) * rhs, reusing out's storage (no allocation when out
-  /// already holds rows() x rhs.cols()). out must not alias an operand.
+  /// out = (*this) * rhs, reusing out's storage when it already holds
+  /// rows() x rhs.cols(). out must not alias an operand. Zero entries of
+  /// *this and the zero column ranges at either end of each rhs row are
+  /// skipped — bit-identical to the dense ikj loop, since every skipped
+  /// term is ±0 — so banded products cost O(band) per entry.
   void multiply_into(const Matrix& rhs, Matrix& out) const;
 
   /// Matrix-vector product; requires v.size() == cols().

@@ -50,15 +50,46 @@ inline constexpr unsigned kCpuBaseline = 0;
 inline constexpr unsigned kCpuAvx2 = 1u << 0;
 inline constexpr unsigned kCpuAvx512 = 1u << 1;  ///< AVX-512 F + DQ
 
-/// Padded row-major views of one transition power A^Δ (see
-/// core/transition_model.hpp). All four tables share `stride`, a multiple
-/// of math::kRowPadDoubles; pad columns hold 0 in p/t and -inf in the log
-/// tables, so full-lane loads read neutral elements.
+/// Exact non-zero range [lo, hi) of one row or column of a transition
+/// power (see core/transition_model.hpp); lo == hi == 0 when empty.
+struct Support {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+};
+
+/// Rows / columns summarized by one DeltaTables::row_blocks / col_blocks
+/// entry: math::kRowPadDoubles, a multiple of every lane width.
+inline constexpr std::size_t kSupportBlock = 8;
+
+/// Padded row-major views of one k x k matrix M in both orientations:
+/// A^Δ for the sum-product kernels, log A^Δ for viterbi_step. Both tables
+/// share `stride`, a multiple of math::kRowPadDoubles; pad columns hold
+/// the neutral element (0 in A^Δ, -inf in its log), so full-lane loads
+/// read neutral values without masking.
+///
+/// `rows` / `cols` (stride entries each, pads empty) carry the exact
+/// non-zero support of every row / column of A^Δ, and `row_blocks` /
+/// `col_blocks` (stride / kSupportBlock entries) the union of each run of
+/// kSupportBlock of them. With them set, each kernel's inner j-loop
+/// visits only where the entries it reads are non-zero: the scalar loops
+/// the support of output i, the vector loops the union of the supports
+/// of a column block's outputs (read off the precomputed unions of the
+/// kSupportBlock runs the block covers). That is
+/// bit-identical to the full loop on every tier: a skipped sum-product
+/// term is x·0 = +0, which leaves a finite non-negative accumulator
+/// unchanged (under FMA too), and a skipped Viterbi candidate is -inf,
+/// which never wins the strict first-max (the vector Viterbi also keeps
+/// its 4-wide j grouping aligned to the full loop's). Null supports mean
+/// the full range [0, k) for every output (set all four or none).
 struct DeltaTables {
-  const double* p = nullptr;      ///< row j: A^Δ(j, ·)
-  const double* t = nullptr;      ///< row i: A^Δ(·, i) (transposed)
-  const double* log_p = nullptr;  ///< elementwise log of p
-  const double* log_t = nullptr;  ///< elementwise log of t
+  const double* p = nullptr;      ///< row j: M(j, ·)
+  const double* t = nullptr;      ///< row i: M(·, i) (transposed)
+  const Support* rows = nullptr;  ///< rows[i]: non-zero columns of row i
+  const Support* cols = nullptr;  ///< cols[j]: non-zero rows of column j
+  /// row_blocks[b]: union of rows[b·kSupportBlock, (b+1)·kSupportBlock)
+  const Support* row_blocks = nullptr;
+  /// col_blocks[b]: union of cols[b·kSupportBlock, (b+1)·kSupportBlock)
+  const Support* col_blocks = nullptr;
   std::size_t stride = 0;
 };
 
@@ -107,7 +138,8 @@ struct KernelOps {
   /// negative → NaN). SIMD uses the vlog approximation.
   void (*log_rows)(const double* in, std::size_t n, double* out);
 
-  /// One max-plus Viterbi step: for each state i < k,
+  /// One max-plus Viterbi step over `a` = the log-domain tables of A^Δ:
+  /// for each state i < k,
   ///   curr[i] = max_j (prev[j] + log A^Δ(j, i)) + e_n[i]
   /// with back[i] = the smallest argmax j (first-strictly-greater update
   /// rule). prev/e_n/curr/back are padded rows; pads of curr end up -inf.

@@ -1,7 +1,8 @@
 // Reference kernel table + runtime dispatch. Compiled with baseline
 // flags: these loops are the pre-SIMD EHMM inner loops, moved behind the
-// KernelOps interface verbatim — per-element operation order is
-// unchanged, so a VERITAS_SIMD=OFF build (or a forced-scalar run) remains
+// KernelOps interface — per-element operation order is unchanged and the
+// j-loops only skip the exact-zero terms outside the DeltaTables
+// supports, so a VERITAS_SIMD=OFF build (or a forced-scalar run) remains
 // bit-identical to the historical implementation.
 #include "math/simd_kernels.hpp"
 
@@ -37,14 +38,22 @@ void log_rows_scalar(const double* in, std::size_t n, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::log(in[i]);
 }
 
+/// The j-range output `i` reads: its recorded support, or all of [0, k)
+/// when the tables carry none (see DeltaTables).
+Support support_of(const Support* supports, std::size_t i, std::size_t k) {
+  return supports != nullptr ? supports[i]
+                             : Support{0, static_cast<std::uint32_t>(k)};
+}
+
 void viterbi_step_scalar(const double* prev, const DeltaTables& a,
                          std::size_t k, const double* e_n, double* curr,
                          std::uint32_t* back) {
   for (std::size_t i = 0; i < k; ++i) {
     double best = kNegInf;
     std::size_t best_prev = 0;
-    const double* log_a = a.log_t + i * a.stride;
-    for (std::size_t j = 0; j < k; ++j) {
+    const double* log_a = a.t + i * a.stride;
+    const Support r = support_of(a.cols, i, k);
+    for (std::size_t j = r.lo; j < r.hi; ++j) {
       const double candidate = prev[j] + log_a[j];
       if (candidate > best) {
         best = candidate;
@@ -61,7 +70,8 @@ void forward_step_scalar(const double* prev, const DeltaTables& a,
   for (std::size_t i = 0; i < k; ++i) {
     double acc = 0.0;
     const double* a_col = a.t + i * a.stride;
-    for (std::size_t j = 0; j < k; ++j) acc += prev[j] * a_col[j];
+    const Support r = support_of(a.cols, i, k);
+    for (std::size_t j = r.lo; j < r.hi; ++j) acc += prev[j] * a_col[j];
     row[i] = acc * em_n[i];
   }
 }
@@ -74,7 +84,8 @@ void backward_step_scalar(const DeltaTables& a, std::size_t k,
     for (std::size_t i = 0; i < k; ++i) {
       double acc = 0.0;
       const double* a_row = a.p + i * a.stride;
-      for (std::size_t j = 0; j < k; ++j) {
+      const Support r = support_of(a.rows, i, k);
+      for (std::size_t j = r.lo; j < r.hi; ++j) {
         acc += a_row[j] * em_next[j] * beta_next[j];
       }
       beta_n[i] = acc / scale;
@@ -89,7 +100,8 @@ void backward_step_scalar(const DeltaTables& a, std::size_t k,
     double acc = 0.0;
     const double* a_row = a.p + i * a.stride;
     const double alpha_i = alpha_n[i];
-    for (std::size_t j = 0; j < k; ++j) {
+    const Support r = support_of(a.rows, i, k);
+    for (std::size_t j = r.lo; j < r.hi; ++j) {
       acc += a_row[j] * em_next[j] * beta_next[j];
       total += alpha_i * a_row[j] * em_next[j] * beta_next[j];
     }
@@ -105,7 +117,8 @@ double pair_total_scalar(const double* alpha_n, const DeltaTables& a,
   for (std::size_t i = 0; i < k; ++i) {
     const double* a_row = a.p + i * a.stride;
     const double alpha_i = alpha_n[i];
-    for (std::size_t j = 0; j < k; ++j) {
+    const Support r = support_of(a.rows, i, k);
+    for (std::size_t j = r.lo; j < r.hi; ++j) {
       total += alpha_i * a_row[j] * em_next[j] * beta_next[j];
     }
   }

@@ -13,6 +13,15 @@ namespace detail {
 
 int count_rounds_iterative(double cwnd, double ssthresh, double bdp,
                            double data_segments, const TcpConfig& config) {
+  // Termination: with cwnd, bdp and rwnd positive, no window ever drops
+  // below m = min(cwnd, bdp, rwnd) — slow start doubles, congestion
+  // avoidance adds one, BBR moves toward 2·bdp, and the clamp is rwnd —
+  // so every round sends at least m and the loop ends within
+  // ceil(data / m) rounds, which the second check keeps inside an int.
+  // (Each comparison is false for NaN.)
+  VERITAS_EXPECTS(cwnd > 0.0 && bdp > 0.0 && config.rwnd_segments > 0.0);
+  const double min_send = std::min({cwnd, bdp, config.rwnd_segments});
+  VERITAS_EXPECTS(data_segments / min_send < 2147483647.0);
   double sent = 0.0;
   int rounds = 0;
   while (sent < data_segments) {
@@ -161,10 +170,12 @@ double estimate_throughput_mbps(double gtbw_mbps, const TcpState& w,
                                 double size_bytes, const TcpConfig& config) {
   VERITAS_EXPECTS(size_bytes > 0.0);
   VERITAS_EXPECTS(gtbw_mbps >= 0.0);
-  if (gtbw_mbps == 0.0) return 0.0;
-
   TcpState state = w;
   apply_slow_start_restart(state, config);
+  // A window that is not positive (or NaN) never sends a segment: the
+  // round count below could not terminate.
+  VERITAS_EXPECTS(state.cwnd_segments > 0.0);
+  if (gtbw_mbps == 0.0) return 0.0;
 
   const double data_segments = segments_for_bytes(size_bytes, config);
   const double bdp = bdp_segments(gtbw_mbps, state.min_rtt_s, config);
@@ -196,6 +207,11 @@ void estimate_throughput_batch(std::span<const double> candidates_mbps,
                                std::span<double> out) {
   VERITAS_EXPECTS(size_bytes > 0.0);
   VERITAS_EXPECTS(out.size() >= candidates_mbps.size());
+  TcpState state = w;
+  apply_slow_start_restart(state, config);
+  // Same refusal as estimate_throughput_mbps: a window that is not
+  // positive (or NaN) never finishes a transfer.
+  VERITAS_EXPECTS(state.cwnd_segments > 0.0);
   if (candidates_mbps.empty()) return;
 
   const math::simd_kernels::KernelOps& ops =
@@ -205,8 +221,6 @@ void estimate_throughput_batch(std::span<const double> candidates_mbps,
   // RTT use); fall back to the reference composition otherwise.
   if (ops.estimate_batch != nullptr && w.min_rtt_s > 0.0) {
     for (const double c : candidates_mbps) VERITAS_EXPECTS(c >= 0.0);
-    TcpState state = w;
-    apply_slow_start_restart(state, config);
     math::simd_kernels::TcpBatchParams p;
     p.cwnd0 = state.cwnd_segments;
     p.ssthresh = state.ssthresh_segments;

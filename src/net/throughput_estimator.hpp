@@ -16,8 +16,9 @@ namespace veritas::net {
 
 /// Estimated throughput (Mbps) for downloading `size_bytes` at candidate
 /// GTBW `gtbw_mbps` from TCP state `w`. Pure function; `w` is copied and
-/// slow-start restart applied internally. Requires size_bytes > 0.
-/// Returns 0 when gtbw_mbps == 0.
+/// slow-start restart applied internally. Requires size_bytes > 0 and a
+/// post-restart cwnd > 0 (not NaN): a window that never sends would make
+/// the round count diverge. Returns 0 when gtbw_mbps == 0.
 double estimate_throughput_mbps(double gtbw_mbps, const TcpState& w,
                                 double size_bytes,
                                 const TcpConfig& config = {});
@@ -32,9 +33,9 @@ double estimate_throughput_mbps(double gtbw_mbps, const TcpState& w,
 /// estimate_batch) when the active dispatch mode provides one, and
 /// otherwise through the scalar composition itself — same
 /// VERITAS_SIMD switch / env var / ScopedMode machinery as the EHMM
-/// recursions. Requires size_bytes > 0, candidates >= 0 and
-/// out.size() >= candidates.size(); writes exactly candidates.size()
-/// entries.
+/// recursions. Requires size_bytes > 0, a post-restart cwnd > 0 (as
+/// above), candidates >= 0 and out.size() >= candidates.size(); writes
+/// exactly candidates.size() entries.
 void estimate_throughput_batch(std::span<const double> candidates_mbps,
                                const TcpState& w, double size_bytes,
                                const TcpConfig& config, std::span<double> out);
@@ -51,6 +52,8 @@ namespace detail {
 /// `data_segments` starting from window `cwnd` (post-SSR) under the
 /// grow_window law: the executable specification the closed-form path is
 /// property-tested against, and the fallback when one of its guards trips.
+/// Requires cwnd, bdp and config.rwnd_segments > 0 and data_segments /
+/// min(cwnd, bdp, rwnd) < INT_MAX, which bounds the round count.
 int count_rounds_iterative(double cwnd, double ssthresh, double bdp,
                            double data_segments, const TcpConfig& config);
 

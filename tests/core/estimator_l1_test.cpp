@@ -332,8 +332,8 @@ TEST(EstimatorL1Chaos, LanesStayBitIdenticalUnderClearsAndFlushes) {
       // with it capacity flushes) without ever being readable by the
       // model above.
       for (int i = 0; i < 48; ++i) {
-        shared->insert(key_for(double(++junk), /*table_id=*/~0ull),
-                       entry_with(double(junk)));
+        const double value = double(++junk);
+        shared->insert(key_for(value, /*table_id=*/~0ull), entry_with(value));
       }
       std::this_thread::yield();
     } while (!stop.load(std::memory_order_relaxed));

@@ -10,8 +10,12 @@
 //    and backpointer-driven decisions, posteriors within 1e-9 (observed
 //    ~1e-13: only the exp approximation and the pair reduction differ),
 //    at 1 and 4 inference threads.
+//  * exact supports: each kernel restricted to the recorded row/column
+//    supports of A^Δ is bit-identical to itself over the full ranges, on
+//    every tier, for tridiagonal / banded / uniform / zero-column priors,
+//    k ∈ {1, 3, 8, 17, 32, 201} and Δ on both sides of the dense table.
 //  * the configurable A^Δ precompute window: a tiny dense table plus
-//    the mutex-guarded fallback must reproduce the full-table results
+//    the shared_mutex memo must reproduce the full-table results
 //    bit-for-bit.
 //  * the opt-in AVX-512/FMA tier (PR 7): FMA-free kernels (viterbi,
 //    emission rows, estimate_batch) bit-identical to scalar; fused
@@ -23,6 +27,8 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,18 +71,7 @@ core::TransitionModel random_transition(std::size_t k, std::uint64_t seed) {
   return core::TransitionModel(std::move(a), std::move(initial));
 }
 
-/// Padded dense tables of A^Δ for the raw kernel harness.
-sk::DeltaTables tables_of(const core::TransitionModel& model,
-                          std::size_t delta) {
-  const core::TransitionModel::PowerView view = model.power_view(delta);
-  sk::DeltaTables t;
-  t.p = view.p->row_data(0);
-  t.t = view.transposed->row_data(0);
-  t.log_p = view.log_p->row_data(0);
-  t.log_t = view.log_transposed->row_data(0);
-  t.stride = view.p->col_stride();
-  return t;
-}
+using Domain = core::TransitionModel::Domain;
 
 /// Padded random row: logical entries from dist, pads = `pad`.
 std::vector<double> padded_row(std::size_t k, double pad, std::mt19937_64& rng,
@@ -95,7 +90,9 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
   const std::size_t stride = math::padded_cols(k);
   core::TransitionModel model = random_transition(k, 100 + k);
   model.precompute_powers(4);
-  const sk::DeltaTables tables = tables_of(model, 2);
+  core::TransitionModel::StepLayouts step;
+  const sk::DeltaTables tables = model.tables(2, Domain::kProbability, step);
+  const sk::DeltaTables log_tables = model.tables(2, Domain::kLog, step);
   ASSERT_EQ(tables.stride, stride);
 
   const sk::KernelOps& scalar = sk::scalar_ops();
@@ -119,10 +116,10 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
     // Viterbi: scores and backpointers bit-identical.
     std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
     std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-    scalar.viterbi_step(prev_log.data(), tables, k, e_n.data(),
+    scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
                         curr_a.data(), back_a.data());
-    simd.viterbi_step(prev_log.data(), tables, k, e_n.data(), curr_b.data(),
-                      back_b.data());
+    simd.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                      curr_b.data(), back_b.data());
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(curr_a[i], curr_b[i]) << "k=" << k << " i=" << i;
       EXPECT_EQ(back_a[i], back_b[i]) << "k=" << k << " i=" << i;
@@ -181,7 +178,9 @@ TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
   const std::size_t stride = math::padded_cols(k);
   core::TransitionModel model = random_transition(k, 500 + k);
   model.precompute_powers(4);
-  const sk::DeltaTables tables = tables_of(model, 2);
+  core::TransitionModel::StepLayouts step;
+  const sk::DeltaTables tables = model.tables(2, Domain::kProbability, step);
+  const sk::DeltaTables log_tables = model.tables(2, Domain::kLog, step);
 
   const sk::KernelOps& scalar = sk::scalar_ops();
   const sk::KernelOps& avx = *sk::avx512_ops();
@@ -207,10 +206,10 @@ TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
     // Viterbi: max-plus has no mul-add to fuse — bit-identical.
     std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
     std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-    scalar.viterbi_step(prev_log.data(), tables, k, e_n.data(),
+    scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
                         curr_a.data(), back_a.data());
-    avx.viterbi_step(prev_log.data(), tables, k, e_n.data(), curr_b.data(),
-                     back_b.data());
+    avx.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                     curr_b.data(), back_b.data());
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(curr_a[i], curr_b[i]) << "k=" << k << " i=" << i;
       EXPECT_EQ(back_a[i], back_b[i]) << "k=" << k << " i=" << i;
@@ -269,6 +268,149 @@ TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
     for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
   }
 }
+
+// Exact-support kernels: every kernel given the recorded row/column
+// supports of A^Δ must be bit-identical to the same kernel given null
+// ranges (the full j-loops), on every tier — the skipped terms are
+// exact zeros / -inf candidates. Covers priors with every support shape
+// (tridiagonal bands, a wider band, full rows, an all-zero column), lane
+// tails (k ∈ {1, 3, 8, 17, 32, 201}) and Δ on both sides of the dense
+// table (65 and 200 are memo entries whose layouts the step builds).
+
+enum class Prior { kTridiagonal, kBanded, kUniform, kZeroColumn };
+
+core::TransitionModel prior_model(Prior prior, std::size_t k) {
+  if (k == 1) {
+    return core::TransitionModel(math::Matrix(1, 1, 1.0), {1.0});
+  }
+  switch (prior) {
+    case Prior::kTridiagonal:
+      return core::TransitionModel::tridiagonal(k);
+    case Prior::kBanded:
+      return core::TransitionModel::banded(k, 3);
+    case Prior::kUniform:
+      return core::TransitionModel::uniform(k);
+    case Prior::kZeroColumn:
+      return core::testing::zero_column_transition(k, k / 2);
+  }
+  return core::TransitionModel::uniform(k);
+}
+
+/// Same bits over the first n entries (signed zeros and NaNs included).
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b,
+               std::size_t n) {
+  return std::memcmp(a.data(), b.data(), n * sizeof(T)) == 0;
+}
+
+/// The kernel tables of every forced tier this build and CPU can run.
+std::vector<const sk::KernelOps*> every_tier() {
+  std::vector<const sk::KernelOps*> tiers = {&sk::scalar_ops()};
+  if (simd_available()) tiers.push_back(sk::simd_ops());
+  if (avx512_available()) tiers.push_back(sk::avx512_ops());
+  return tiers;
+}
+
+class KernelSupport
+    : public ::testing::TestWithParam<std::tuple<Prior, std::size_t>> {};
+
+std::string support_case_name(
+    const ::testing::TestParamInfo<KernelSupport::ParamType>& info) {
+  static const char* const kNames[] = {"Tridiagonal", "Banded", "Uniform",
+                                       "ZeroColumn"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "K" + std::to_string(std::get<1>(info.param));
+}
+
+TEST_P(KernelSupport, RestrictedKernelsMatchFullRangesBitwise) {
+  const auto [prior, k] = GetParam();
+  const std::size_t stride = math::padded_cols(k);
+  core::TransitionModel model = prior_model(prior, k);
+  model.precompute_powers(core::Ehmm::kDefaultPrecomputedPowers);
+  core::TransitionModel::StepLayouts step;
+  std::mt19937_64 rng(31 * k + static_cast<std::size_t>(prior));
+  const double inf = std::numeric_limits<double>::infinity();
+
+  for (const std::size_t delta : {0, 1, 2, 63, 64, 65, 200}) {
+    const sk::DeltaTables prob =
+        model.tables(delta, Domain::kProbability, step);
+    const sk::DeltaTables logs = model.tables(delta, Domain::kLog, step);
+    ASSERT_NE(prob.rows, nullptr);
+    ASSERT_NE(prob.col_blocks, nullptr);
+    const auto without_supports = [](sk::DeltaTables tables) {
+      tables.rows = tables.cols = nullptr;
+      tables.row_blocks = tables.col_blocks = nullptr;
+      return tables;
+    };
+    const sk::DeltaTables prob_full = without_supports(prob);
+    const sk::DeltaTables logs_full = without_supports(logs);
+
+    for (const sk::KernelOps* ops : every_tier()) {
+      for (int round = 0; round < 3; ++round) {
+        std::vector<double> prev_log =
+            padded_row(k, -inf, rng, -40.0, 0.0);
+        std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
+        const std::vector<double> e_n = padded_row(k, -inf, rng, -40.0, 0.0);
+        const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
+        const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
+        const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
+        // Impossible predecessors and empty forward mass, as real
+        // recursions produce them.
+        for (std::size_t j = round; j < k; j += 5) {
+          prev_log[j] = -inf;
+          prev_prob[j] = 0.0;
+        }
+        const std::string where = std::string(ops->name) +
+                                  " k=" + std::to_string(k) +
+                                  " delta=" + std::to_string(delta);
+
+        std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
+        std::vector<std::uint32_t> back_a(stride, 7), back_b(stride, 7);
+        ops->viterbi_step(prev_log.data(), logs, k, e_n.data(),
+                          curr_a.data(), back_a.data());
+        ops->viterbi_step(prev_log.data(), logs_full, k, e_n.data(),
+                          curr_b.data(), back_b.data());
+        EXPECT_TRUE(same_bits(curr_a, curr_b, stride)) << where;
+        EXPECT_TRUE(same_bits(back_a, back_b, k)) << where;
+
+        std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
+        ops->forward_step(prev_prob.data(), prob, k, em.data(),
+                          row_a.data());
+        ops->forward_step(prev_prob.data(), prob_full, k, em.data(),
+                          row_b.data());
+        EXPECT_TRUE(same_bits(row_a, row_b, stride)) << where;
+
+        std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
+        double pair_a = 0.0, pair_b = 0.0;
+        ops->backward_step(prob, k, em.data(), beta.data(), 1.375,
+                           beta_a.data(), alpha.data(), &pair_a);
+        ops->backward_step(prob_full, k, em.data(), beta.data(), 1.375,
+                           beta_b.data(), alpha.data(), &pair_b);
+        EXPECT_TRUE(same_bits(beta_a, beta_b, stride)) << where;
+        EXPECT_EQ(std::memcmp(&pair_a, &pair_b, sizeof(double)), 0) << where;
+        ops->backward_step(prob, k, em.data(), beta.data(), 0.5,
+                           beta_a.data(), nullptr, nullptr);
+        ops->backward_step(prob_full, k, em.data(), beta.data(), 0.5,
+                           beta_b.data(), nullptr, nullptr);
+        EXPECT_TRUE(same_bits(beta_a, beta_b, stride)) << where;
+
+        const double total_a =
+            ops->pair_total(alpha.data(), prob, k, em.data(), beta.data());
+        const double total_b = ops->pair_total(alpha.data(), prob_full, k,
+                                               em.data(), beta.data());
+        EXPECT_EQ(std::memcmp(&total_a, &total_b, sizeof(double)), 0)
+            << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PriorsAndStateCounts, KernelSupport,
+    ::testing::Combine(::testing::Values(Prior::kTridiagonal, Prior::kBanded,
+                                         Prior::kUniform, Prior::kZeroColumn),
+                       ::testing::Values(1, 3, 8, 17, 32, 201)),
+    support_case_name);
 
 /// Ehmm over k states (k = ceil(max/eps) + 1 with eps 0.5).
 core::VeritasConfig config_for_states(std::size_t k) {
@@ -431,14 +573,14 @@ TEST(EhmmEquivalence, MultiWindowEstimatorWithinTolerance) {
   }
 }
 
-// A tiny precompute window forces the mutex-guarded fallback (and the
-// legacy strided kernels) for the long-gap deltas — results must be
-// bit-identical to the full dense table, in both dispatch modes.
+// A tiny precompute window sends the long-gap deltas through the
+// shared_mutex memo, whose steps build their transposed / log layouts
+// into the scratch and run the same kernels as dense steps — results
+// must be bit-identical to the full dense table, in both dispatch modes.
 TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
   using core::testing::warm_observation;
   // Session with rebuffer-sized gaps: window deltas 0, 1, 2, 5, 13 with
-  // δ = 5 s — everything past Δ=1 exercises the fallback on the small
-  // table.
+  // δ = 5 s — everything past Δ=1 is a memo entry on the small table.
   std::vector<ChunkObservation> obs;
   obs.push_back(warm_observation(0.0, 2.0));
   obs.push_back(warm_observation(3.0, 2.5));
@@ -473,26 +615,13 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
               b.forward_backward.log_likelihood);
     ASSERT_EQ(a.forward_backward.pair_totals.size(),
               b.forward_backward.pair_totals.size());
-    for (std::size_t n = 0; n < a.forward_backward.pair_totals.size(); ++n) {
-      // The fallback always accumulates the pair total in scalar order,
-      // so it is exact against the dense scalar kernel; the dense SIMD
-      // kernel reassociates across lanes (ulp-level).
-      if (m == sk::Mode::kForceScalar) {
-        EXPECT_EQ(a.forward_backward.pair_totals[n],
-                  b.forward_backward.pair_totals[n]);
-      } else {
-        const double want = a.forward_backward.pair_totals[n];
-        EXPECT_NEAR(want, b.forward_backward.pair_totals[n],
-                    1e-12 * std::max(1.0, std::abs(want)));
-      }
-    }
-    if (m == sk::Mode::kForceScalar) {
-      util::Rng rng_a(42), rng_b(42);
-      EXPECT_EQ(small.sample_posterior(a.viterbi, a.forward_backward,
-                                       scratch_a, rng_a),
-                full.sample_posterior(b.viterbi, b.forward_backward,
-                                      scratch_b, rng_b));
-    }
+    // One kernel path for every Δ: even the SIMD pair totals, whose lane
+    // reduction differs from scalar order, match exactly.
+    EXPECT_EQ(a.forward_backward.pair_totals, b.forward_backward.pair_totals);
+    util::Rng rng_a(42), rng_b(42);
+    EXPECT_EQ(
+        small.sample_posterior(a.viterbi, a.forward_backward, scratch_a, rng_a),
+        full.sample_posterior(b.viterbi, b.forward_backward, scratch_b, rng_b));
   }
 }
 

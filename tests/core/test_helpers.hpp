@@ -43,6 +43,21 @@ inline Ehmm small_ehmm(double sigma = 0.5, double stay = 0.8) {
               5.0);
 }
 
+/// Row-stochastic tridiagonal A over k >= 2 states whose column `zero`
+/// is all zero (its mass moved to a neighbour), so state `zero` is
+/// unreachable under every A^Δ with Δ >= 1. Uniform u.
+inline TransitionModel zero_column_transition(std::size_t k,
+                                              std::size_t zero) {
+  math::Matrix a = TransitionModel::tridiagonal(k).matrix();
+  const std::size_t into = zero + 1 < k ? zero + 1 : zero - 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    a(i, into) += a(i, zero);
+    a(i, zero) = 0.0;
+  }
+  return TransitionModel(std::move(a),
+                         std::vector<double>(k, 1.0 / double(k)));
+}
+
 /// Runs an MPC session over `gtbw` and returns its log (deployment step).
 inline sim::SessionLog deployed_log(const trace::BandwidthTrace& gtbw,
                                     std::size_t chunks = 60) {

@@ -2,14 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/test_helpers.hpp"
 #include "math/distributions.hpp"
 #include "util/expects.hpp"
 
 namespace veritas::core {
 namespace {
+
+using Domain = TransitionModel::Domain;
+
+/// Bitwise equality over the logical entries (strides may differ): the
+/// chain must reproduce math::matrix_power's exact bits, signed zeros
+/// included, not just values within a tolerance.
+bool bitwise_equal(const math::Matrix& a, const math::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.row_data(i), b.row_data(i),
+                    a.cols() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(TransitionModel, TridiagonalStructure) {
   const TransitionModel m = TransitionModel::tridiagonal(5, 0.8);
@@ -111,24 +132,139 @@ TEST(TransitionModel, PrecomputedPowersMatchFallbackBitExactly) {
 TEST(TransitionModel, PowerViewLayoutsAreConsistent) {
   TransitionModel m = TransitionModel::tridiagonal(5);
   m.precompute_powers(4);
-  for (std::size_t delta = 0; delta <= 4; ++delta) {
+  TransitionModel::StepLayouts step;
+  // Dense entries (Δ <= 4) and memo entries (Δ = 7, 9) reach the kernels
+  // as the same layouts: the memo's are built into the step buffers.
+  for (const std::size_t delta : {0, 1, 2, 4, 7, 9}) {
     const TransitionModel::PowerView view = m.power_view(delta);
-    ASSERT_NE(view.p, nullptr);
-    ASSERT_NE(view.transposed, nullptr);
-    ASSERT_NE(view.log_transposed, nullptr);
+    const std::size_t stride = view.p.col_stride();
+    EXPECT_EQ(stride, math::padded_cols(5));
+    EXPECT_EQ(view.rows.size(), stride);
+    EXPECT_EQ(view.cols.size(), stride);
+    const auto prob = m.tables(delta, Domain::kProbability, step);
+    const auto logs = m.tables(delta, Domain::kLog, step);
+    ASSERT_EQ(prob.stride, stride);
+    ASSERT_EQ(logs.stride, stride);
+    EXPECT_EQ(prob.rows, view.rows.data());
+    EXPECT_EQ(prob.cols, view.cols.data());
+    EXPECT_EQ(prob.p, view.p.row_data(0));
     for (std::size_t i = 0; i < 5; ++i) {
-      for (std::size_t j = 0; j < 5; ++j) {
-        EXPECT_EQ((*view.transposed)(i, j), (*view.p)(j, i));
-        EXPECT_EQ((*view.log_transposed)(i, j),
-                  math::safe_log((*view.p)(j, i)));
+      for (std::size_t j = 0; j < stride; ++j) {
+        const double pij = j < 5 ? view.p(i, j) : 0.0;
+        const double pji = j < 5 ? view.p(j, i) : 0.0;
+        EXPECT_EQ(prob.t[i * stride + j], pji) << delta;
+        EXPECT_EQ(logs.p[i * stride + j], math::safe_log(pij)) << delta;
+        EXPECT_EQ(logs.t[i * stride + j], math::safe_log(pji)) << delta;
       }
     }
   }
-  // Beyond the dense table: the matrix is served, the layouts are not.
-  const TransitionModel::PowerView beyond = m.power_view(9);
-  ASSERT_NE(beyond.p, nullptr);
-  EXPECT_EQ(beyond.transposed, nullptr);
-  EXPECT_EQ(beyond.log_transposed, nullptr);
+}
+
+TEST(TransitionModel, SupportsAreTheExactNonZeroRanges) {
+  // Read from the computed matrices, not the prior: a tridiagonal A^Δ
+  // has rows [i-Δ, i+Δ+1) clipped to the grid, a uniform A is full, an
+  // all-zero column and every pad get empty ranges.
+  std::vector<std::pair<const char*, TransitionModel>> models;
+  models.emplace_back("tridiagonal", TransitionModel::tridiagonal(11));
+  models.emplace_back("banded", TransitionModel::banded(11, 2));
+  models.emplace_back("uniform", TransitionModel::uniform(11));
+  models.emplace_back("zero column", testing::zero_column_transition(11, 4));
+  for (auto& [name, m] : models) {
+    m.precompute_powers(3);
+    for (std::size_t delta = 0; delta <= 9; ++delta) {
+      const TransitionModel::PowerView view = m.power_view(delta);
+      const std::size_t k = m.states();
+      for (std::size_t i = 0; i < view.rows.size(); ++i) {
+        for (const bool by_row : {true, false}) {
+          const TransitionModel::Support s =
+              by_row ? view.rows[i] : view.cols[i];
+          const auto at = [&](std::size_t x) {
+            return by_row ? view.p(i, x) : view.p(x, i);
+          };
+          if (i >= k) {
+            EXPECT_EQ(s.lo, 0u);  // pad
+            EXPECT_EQ(s.hi, 0u);
+            continue;
+          }
+          if (s.lo == s.hi) {
+            EXPECT_EQ(s.lo, 0u) << name;
+            for (std::size_t x = 0; x < k; ++x) EXPECT_EQ(at(x), 0.0);
+            continue;
+          }
+          EXPECT_NE(at(s.lo), 0.0) << name << " delta " << delta;
+          EXPECT_NE(at(s.hi - 1), 0.0) << name << " delta " << delta;
+          for (std::size_t x = 0; x < k; ++x) {
+            if (x < s.lo || x >= s.hi) {
+              EXPECT_EQ(at(x), 0.0) << name;
+            }
+          }
+        }
+      }
+      if (std::string(name) == "tridiagonal") {
+        const std::size_t i = 5;
+        EXPECT_EQ(view.rows[i].lo, i >= delta ? i - delta : 0);
+        EXPECT_EQ(view.rows[i].hi, std::min(k, i + delta + 1));
+      }
+      if (std::string(name) == "zero column" && delta >= 1) {
+        EXPECT_EQ(view.cols[4].lo, view.cols[4].hi);
+      }
+      if (std::string(name) == "uniform" && delta >= 1) {
+        EXPECT_EQ(view.cols[0].lo, 0u);
+        EXPECT_EQ(view.cols[0].hi, k);
+      }
+    }
+  }
+}
+
+TEST(TransitionModel, ChainPowersAreBitwiseMatrixPowersAfterCopyAndMove) {
+  // Every A^Δ, dense or memoized, is math::matrix_power's exact product;
+  // copies and moves carry the chain and keep extending it exactly.
+  TransitionModel m = TransitionModel::banded(7, 2);
+  m.precompute_powers(64);
+  for (std::size_t delta = 0; delta <= 1000; ++delta) {
+    ASSERT_TRUE(
+        bitwise_equal(m.power(delta), math::matrix_power(m.matrix(), delta)))
+        << "delta " << delta;
+  }
+  TransitionModel grown = TransitionModel::tridiagonal(9);
+  (void)grown.power(300);  // chain reaches A^256
+  const TransitionModel copy = grown;
+  TransitionModel source = grown;
+  TransitionModel moved(std::move(source));
+  TransitionModel assigned = TransitionModel::uniform(9);
+  assigned = std::move(moved);
+  const TransitionModel* const models[] = {&copy, &assigned, &grown};
+  for (const TransitionModel* model : models) {
+    for (std::size_t delta = 0; delta <= 1000; delta += 7) {
+      ASSERT_TRUE(bitwise_equal(model->power(delta),
+                                math::matrix_power(grown.matrix(), delta)))
+          << "delta " << delta;
+    }
+  }
+}
+
+TEST(TransitionModel, ConcurrentFirstSightLookupsGrowTheChainExactly) {
+  // A two-entry dense table leaves the chain at A^2: threads racing to
+  // first-compute distinct long gaps grow it under the exclusive lock,
+  // and every served power stays bitwise matrix_power's.
+  TransitionModel m = TransitionModel::banded(6, 1);
+  m.precompute_powers(2);
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(8, -1);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      int local = 0;
+      for (std::size_t delta = 100 + t; delta < 4000; delta += 97 + t) {
+        if (!bitwise_equal(m.power(delta),
+                           math::matrix_power(m.matrix(), delta))) {
+          ++local;
+        }
+      }
+      mismatches[t] = local;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const int count : mismatches) EXPECT_EQ(count, 0);
 }
 
 TEST(TransitionModel, PrecomputeIsIdempotentAndOnlyGrows) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "util/expects.hpp"
 
 namespace veritas::math {
@@ -146,6 +149,40 @@ TEST(Matrix, MultiplyIntoMatchesOperator) {
   EXPECT_EQ(out.max_abs_diff(a * b), 0.0);
   Matrix aliased = a;
   EXPECT_THROW(aliased.multiply_into(b, aliased), veritas::ContractViolation);
+}
+
+TEST(Matrix, MultiplySkipsZerosBitExactly) {
+  // Banded operands with ragged zero runs, negative entries and -0.0:
+  // skipping zero entries and zero row ends must reproduce the plain
+  // dense ikj loop's bits exactly.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (const std::size_t n : {1, 2, 5, 13, 40}) {
+    Matrix a(n, n, 0.0);
+    Matrix b(n, n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t d = r > c ? r - c : c - r;
+        if (d <= 1 + r % 3) a(r, c) = dist(rng);
+        if (d <= 2 + c % 4) b(r, c) = dist(rng);
+        if ((r + c) % 7 == 0) b(r, c) = -0.0;
+      }
+    }
+    Matrix dense(n, n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t c = 0; c < n; ++c) dense(r, c) += a(r, k) * b(k, c);
+      }
+    }
+    Matrix out;
+    a.multiply_into(b, out);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(std::memcmp(out.row_data(r), dense.row_data(r),
+                            n * sizeof(double)),
+                0)
+          << "n=" << n << " row " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -7,11 +7,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
+#include "abr/abr_factory.hpp"
+#include "core/inference_engine.hpp"
+#include "math/simd_kernels.hpp"
+#include "net/network_path.hpp"
 #include "net/tcp_model.hpp"
 #include "net/throughput_estimator.hpp"
+#include "sim/session.hpp"
+#include "trace/trace_generator.hpp"
+#include "util/expects.hpp"
 #include "util/rng.hpp"
+#include "video/ladder_presets.hpp"
 
 namespace veritas::net {
 namespace {
@@ -197,6 +206,58 @@ TEST(RoundCount, EstimatorMatchesReferenceAcrossSlowStartRestartEdges) {
     }
   }
   EXPECT_GT(checked, 1000u);
+}
+
+// Regression: a 20-chunk session whose chunk 9 starts with cwnd = 0 (a
+// corrupted log field). grow_window(0) stays 0, so the per-round loop
+// added min(0, bdp) = 0 forever and inference on the log never returned.
+// The estimator entries now refuse a non-positive (or NaN) post-restart
+// window and the reference loop carries a precondition that bounds it.
+sim::SessionLog zero_window_log() {
+  const auto gtbw =
+      trace::make_traces(trace::TraceFamily::kFccLike, 1, 5)[0];
+  video::VideoConfig vcfg = video::default_video_config();
+  vcfg.duration_s = 40.0;
+  const video::Video video(vcfg);
+  const auto abr = abr::make_abr("mpc");
+  const NetworkPath path(gtbw, 0.08);
+  sim::SessionLog log = sim::run_session(video, *abr, path).log;
+  log.chunks.at(9).tcp_at_start.cwnd_segments = 0.0;
+  return log;
+}
+
+TEST(RoundCount, ZeroWindowLogIsRefusedInsteadOfHanging) {
+  const sim::SessionLog log = zero_window_log();
+  ASSERT_EQ(log.size(), 20u);
+  const TcpConfig cfg;
+  const double size = log.chunks[9].size_bytes;
+  TcpState nan_window = log.chunks[9].tcp_at_start;
+  nan_window.cwnd_segments = std::numeric_limits<double>::quiet_NaN();
+  for (const TcpState& w : {log.chunks[9].tcp_at_start, nan_window}) {
+    EXPECT_THROW(estimate_throughput_mbps(3.0, w, size, cfg),
+                 ContractViolation);
+    EXPECT_THROW(estimate_throughput_mbps(0.0, w, size, cfg),
+                 ContractViolation);
+    namespace sk = math::simd_kernels;
+    for (const sk::Mode mode : {sk::Mode::kForceScalar, sk::Mode::kForceSimd}) {
+      const sk::ScopedMode scoped(mode);
+      const std::vector<double> candidates = {0.0, 0.5, 3.0, 10.0};
+      std::vector<double> out(candidates.size());
+      EXPECT_THROW(estimate_throughput_batch(candidates, w, size, cfg, out),
+                   ContractViolation);
+    }
+  }
+  // The round counters themselves: the closed form defers a zero window
+  // to the reference loop, whose precondition refuses it.
+  EXPECT_THROW(detail::count_rounds_iterative(0.0, 10.0, 50.0, 100.0, cfg),
+               ContractViolation);
+  EXPECT_THROW(detail::count_rounds(0.0, 10.0, 50.0, 100.0, cfg),
+               ContractViolation);
+  EXPECT_THROW(detail::count_rounds_iterative(10.0, 10.0, 0.0, 100.0, cfg),
+               ContractViolation);
+  // End to end: inference reports the bad log instead of spinning.
+  const core::InferenceEngine engine(core::VeritasConfig{});
+  EXPECT_THROW((void)engine.infer(log), ContractViolation);
 }
 
 }  // namespace

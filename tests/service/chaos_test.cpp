@@ -15,6 +15,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,26 @@ ScopedFailpoint occupy_lane(std::uint64_t ms) {
   config.sleep_ms = ms;
   config.max_hits = 1;
   return ScopedFailpoint("service.lane.execute", config);
+}
+
+/// Blocks until the single lane has popped the job that eats the
+/// occupy_lane sleep: nothing queued and one job in flight. Submitting
+/// the next query before that would let it see the blocker still
+/// queued, so admission-time checks (the overload watermark, queue
+/// capacity, displacement) would count one job too many.
+void wait_until_lane_busy(const VeritasService& service) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  for (;;) {
+    const std::vector<service::ShardStats> shards = service.shard_stats();
+    std::uint64_t in_flight = 0;
+    for (const service::ShardStats& shard : shards) {
+      in_flight += shard.in_flight;
+    }
+    if (service.stats().queue_depth == 0 && in_flight == 1) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the lane never picked up the blocking job";
+    std::this_thread::sleep_for(1ms);
+  }
 }
 
 class ServiceChaosTest : public ::testing::Test {
@@ -202,6 +223,7 @@ TEST_F(ServiceChaos, DeadlineExpiresAtDequeueBehindASlowJob) {
   const sim::SessionLog log = test_log(5);
 
   auto slow = service.submit(make_query(log, 1));  // eats the 300ms sleep
+  wait_until_lane_busy(service);
   Query doomed = make_query(log, 2);
   doomed.options.deadline = std::chrono::steady_clock::now() + 50ms;
   auto expired = service.submit(std::move(doomed));
@@ -230,6 +252,7 @@ TEST_F(ServiceChaos, AdmissionTimeoutBoundsTheSubmitWait) {
   const sim::SessionLog log = test_log(6);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(service);
   auto queued = service.submit(make_query(log, 2));  // fills the queue
   const auto start = std::chrono::steady_clock::now();
   auto bounced = service.submit(make_query(log, 3));  // must not block long
@@ -257,6 +280,7 @@ TEST_F(ServiceChaos, OverloadShedsBackgroundBeforeAnythingElse) {
   const sim::SessionLog log = test_log(7);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(service);
   auto queued = service.submit(make_query(log, 2));  // depth 1: overloaded
   EXPECT_TRUE(service.overloaded());
   auto background =
@@ -289,6 +313,7 @@ TEST_F(ServiceChaos, InteractiveArrivalDisplacesQueuedBackground) {
   const sim::SessionLog log = test_log(8);
 
   auto slow = service.submit(make_query(log, 1));  // occupies the lane
+  wait_until_lane_busy(service);
   auto background =
       service.submit(make_query(log, 2, Priority::kBackground));  // queued
   // The interactive arrival lands in O(1): the queued background job is
@@ -319,6 +344,7 @@ TEST_F(ServiceChaos, DegradedResultIsAnExactPrefixOfTheFullAnswer) {
   const sim::SessionLog log = test_log(9);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(service);
   auto queued = service.submit(make_query(log, 2));  // depth 1: overloaded
   auto degraded = service.submit(make_query(log, 77));
 
@@ -360,8 +386,9 @@ TEST_F(ServiceChaos, DegradedResultsAreNeverCached) {
   service.add_shard("main", small_config());
   const sim::SessionLog log = test_log(10);
 
-  auto slow = service.submit(make_query(log, 1));
-  auto queued = service.submit(make_query(log, 2));
+  auto slow = service.submit(make_query(log, 1));  // occupies the lane
+  wait_until_lane_busy(service);
+  auto queued = service.submit(make_query(log, 2));  // depth 1: overloaded
   auto degraded = service.submit(make_query(log, 77));
   (void)slow.get();
   (void)queued.get();
@@ -397,6 +424,7 @@ TEST_F(ServiceChaos, StaleCacheHitServedUnderOverloadAfterSwap) {
   // Pressure: block the lane and queue a job so the detector arms.
   auto lane_blocker = occupy_lane(300);
   auto slow = service.submit(make_query(log, 2));
+  wait_until_lane_busy(service);
   auto queued = service.submit(make_query(log, 3));
   EXPECT_TRUE(service.overloaded());
 

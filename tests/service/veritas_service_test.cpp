@@ -124,6 +124,36 @@ TEST(VeritasService, UnknownShardResolvesAsNotFoundValue) {
   EXPECT_EQ(maybe->get().status().code(), StatusCode::kNotFound);
 }
 
+TEST(VeritasService, ZeroWindowLogResolvesNonOkWithinABound) {
+  // A chunk logged with cwnd = 0 used to spin the lane that took it
+  // forever (the estimator's round loop never advanced). Its future must
+  // now resolve promptly with a non-OK status, and the lane keeps serving.
+  ServiceOptions options;
+  options.num_threads = 1;
+  VeritasService service(options);
+  service.add_shard("main", config_a());
+  const std::vector<sim::SessionLog> logs = make_logs(2);
+  Query bad;
+  bad.log = logs[0];
+  bad.log.chunks.at(9).tcp_at_start.cwnd_segments = 0.0;
+  bad.shard = "main";
+  auto refused = service.submit(std::move(bad));
+  ASSERT_EQ(refused.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_FALSE(refused.get().ok());
+
+  Query good;
+  good.log = logs[1];
+  good.shard = "main";
+  auto served = service.submit(std::move(good));
+  ASSERT_EQ(served.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(served.get().ok());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_TRUE(stats.reconciled());
+}
+
 TEST(VeritasService, CacheHitAndMissCounters) {
   ServiceOptions options;
   options.num_threads = 2;
