@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
+#include <string_view>
 
 #include "abr/abr_factory.hpp"
 #include "core/veritas.hpp"
@@ -16,17 +20,42 @@
 namespace veritas {
 namespace {
 
+constexpr const char* kAbrNames[] = {"mpc", "bba", "bola", "rate_based",
+                                     "random"};
+
+// gtest names these cases after a byte dump of the param, so every byte
+// is fixed: explicit padding instead of stack garbage, and the ABR held
+// as an index instead of a load-address-dependent string pointer. The
+// first fill repeats the stack-address bytes the leading padding used to
+// show (FC-7F), so the names that printed them stay as they were.
 struct SweepCase {
+  SweepCase(trace::TraceFamily f, std::string_view abr_name, double buffer,
+            net::CongestionControl c)
+      : family(f), buffer_s(buffer), cc(c) {
+    while (kAbrNames[abr_index] != abr_name) {
+      if (++abr_index == std::size(kAbrNames)) {
+        throw std::invalid_argument("unknown ABR in sweep grid");
+      }
+    }
+  }
+  const char* abr() const { return kAbrNames[abr_index]; }
+
   trace::TraceFamily family;
-  const char* abr;
+  std::int32_t padding0 = 0x7ffc;
+  std::uint64_t abr_index = 0;
   double buffer_s;
   net::CongestionControl cc;
+  std::int32_t padding1 = 0;
 };
+static_assert(sizeof(SweepCase) ==
+              sizeof(trace::TraceFamily) + 2 * sizeof(std::int32_t) +
+                  sizeof(std::uint64_t) + sizeof(double) +
+                  sizeof(net::CongestionControl));
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = trace::family_name(info.param.family);
   name += "_";
-  name += info.param.abr;
+  name += info.param.abr();
   name += "_b";
   name += std::to_string(int(info.param.buffer_s));
   name += info.param.cc == net::CongestionControl::kBbrLike ? "_bbr" : "_cubic";
@@ -48,7 +77,7 @@ class SessionSweep : public ::testing::TestWithParam<SweepCase> {
     net::TcpConfig tcp;
     tcp.congestion_control = param.cc;
     const net::NetworkPath path(traces[0], 0.08, tcp);
-    auto abr = abr::make_abr(param.abr, 5);
+    auto abr = abr::make_abr(param.abr(), 5);
     sim::SessionConfig cfg;
     cfg.buffer_capacity_s = param.buffer_s;
     video_ = video;

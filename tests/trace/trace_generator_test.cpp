@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace veritas::trace {
 namespace {
@@ -115,10 +116,21 @@ TEST(MakeTraces, TracesWithinFamilyDiffer) {
   EXPECT_GT(traces[1].mean_abs_diff_mbps(traces[2]), 0.0);
 }
 
+// gtest names these cases after a byte dump of the param, so the struct
+// has no implicit padding: padding bytes are whatever the stack held,
+// which made the test names change from run to run. The fill of -1 is
+// what the compiler already left in two of the cases, so their names
+// stay as they were.
 struct FamilyRange {
+  FamilyRange(TraceFamily f, double lo, double hi)
+      : family(f), min(lo), max(hi) {}
+
   TraceFamily family;
+  std::int32_t padding = -1;
   double min, max;
 };
+static_assert(sizeof(FamilyRange) ==
+              sizeof(TraceFamily) + sizeof(std::int32_t) + 2 * sizeof(double));
 
 class FamilyBounds : public ::testing::TestWithParam<FamilyRange> {};
 
