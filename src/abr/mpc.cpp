@@ -10,11 +10,94 @@ namespace veritas::abr {
 
 namespace {
 
-/// Buffer/QoE rollout state for the exhaustive horizon search.
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Buffer/QoE rollout state after a prefix of a lookahead plan.
 struct Rollout {
   double buffer_s = 0.0;
   double qoe = 0.0;
   double prev_bitrate = -1.0;  ///< < 0 means "no previous chunk"
+};
+
+/// What a rollout step needs besides its state and the chunk it plays.
+struct Dynamics {
+  double chunk_s;
+  double capacity_s;
+  double rebuffer_penalty;
+  double switch_penalty;
+};
+
+/// Downloads one chunk of `bitrate` Mbps taking `download_s` seconds:
+/// the one definition of the buffer and QoE law, used by both the search
+/// and the constant-quality floor so equal plans score bit-identically.
+/// QoE = bitrate - rebuffer_penalty * stall - switch_penalty * |Δbitrate|.
+inline Rollout step(const Rollout& state, double download_s, double bitrate,
+                    const Dynamics& dyn) {
+  const double stall = std::max(0.0, download_s - state.buffer_s);
+  double buffer = std::max(0.0, state.buffer_s - download_s) + dyn.chunk_s;
+  buffer = std::min(buffer, dyn.capacity_s);
+  double qoe = state.qoe + bitrate - dyn.rebuffer_penalty * stall;
+  if (state.prev_bitrate >= 0.0) {
+    qoe -= dyn.switch_penalty * std::abs(bitrate - state.prev_bitrate);
+  }
+  return Rollout{buffer, qoe, bitrate};
+}
+
+/// Depth-first branch-and-bound over quality plans (see mpc.hpp for the
+/// bound and why pruning leaves the decision unchanged). Tables are
+/// row-major horizon x levels.
+struct HorizonSearch {
+  const double* bitrate;
+  const double* download_s;
+  const double* min_stall_cost;
+  double* pruned_up_to;  ///< [d]: largest child QoE pruned at depth d
+  std::size_t levels;
+  std::size_t horizon;
+  Dynamics dyn;
+  double floor = kNegInf;
+  double best_qoe = kNegInf;
+  std::size_t best_first = 0;
+
+  /// Upper bound U on the QoE of every leaf below a node at `depth`
+  /// whose prefix scored `qoe`.
+  double upper_bound(std::size_t depth, double qoe) const {
+    for (; depth < horizon; ++depth) {
+      const double* cost = min_stall_cost + depth * levels;
+      double best = kNegInf;
+      for (std::size_t q = 0; q < levels; ++q) {
+        best = std::max(best, qoe + bitrate[q] - cost[q]);
+      }
+      qoe = best;
+    }
+    return qoe;
+  }
+
+  void visit(std::size_t depth, const Rollout& state, std::size_t first) {
+    const double* download = download_s + depth * levels;
+    if (depth + 1 == horizon) {
+      for (std::size_t q = 0; q < levels; ++q) {
+        const double qoe = step(state, download[q], bitrate[q], dyn).qoe;
+        if (qoe > best_qoe) {
+          best_qoe = qoe;
+          best_first = depth == 0 ? q : first;
+        }
+      }
+      return;
+    }
+    // U is non-decreasing in the child's QoE and the threshold never
+    // decreases, so a child scoring at most one already pruned at the
+    // same depth is pruned without evaluating U.
+    double& watermark = pruned_up_to[depth + 1];
+    for (std::size_t q = 0; q < levels; ++q) {
+      const Rollout child = step(state, download[q], bitrate[q], dyn);
+      if (child.qoe <= watermark) continue;
+      if (upper_bound(depth + 1, child.qoe) < std::max(best_qoe, floor)) {
+        watermark = std::max(watermark, child.qoe);
+        continue;
+      }
+      visit(depth + 1, child, depth == 0 ? q : first);
+    }
+  }
 };
 
 }  // namespace
@@ -23,6 +106,12 @@ Mpc::Mpc(MpcConfig config) : config_(config) {
   VERITAS_EXPECTS(config_.horizon >= 1);
   VERITAS_EXPECTS(config_.throughput_window >= 1);
   VERITAS_EXPECTS(config_.safety_fallback_mbps > 0.0);
+  // The search's upper bound drops or under-counts both penalty terms,
+  // which is only safe for finite, non-negative penalties.
+  VERITAS_EXPECTS(std::isfinite(config_.rebuffer_penalty) &&
+                  config_.rebuffer_penalty >= 0.0);
+  VERITAS_EXPECTS(std::isfinite(config_.switch_penalty) &&
+                  config_.switch_penalty >= 0.0);
 }
 
 void Mpc::reset() {
@@ -63,51 +152,52 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
   const std::size_t levels = video.num_qualities();
   const double predicted_mbps =
       std::max(predict_throughput(context), 1e-6);
-  const double chunk_s = video.chunk_duration_s();
   const std::size_t remaining = video.num_chunks() - context.next_chunk;
   const std::size_t horizon = std::min(config_.horizon, remaining);
+  const Dynamics dyn{video.chunk_duration_s(), context.buffer_capacity_s,
+                     config_.rebuffer_penalty, config_.switch_penalty};
 
-  double best_qoe = -std::numeric_limits<double>::infinity();
-  std::size_t best_first = 0;
-
-  // Exhaustive search over quality sequences (levels^horizon <= 5^5):
-  // simulate buffer dynamics under the predicted throughput and score
-  // QoE = bitrate - rebuffer_penalty * stall - switch_penalty * |Δbitrate|.
-  auto rollout = [&](auto&& self, std::size_t depth, Rollout state,
-                     std::size_t first) -> void {
-    if (depth == horizon) {
-      if (state.qoe > best_qoe) {
-        best_qoe = state.qoe;
-        best_first = first;
-      }
-      return;
-    }
-    const std::size_t chunk = context.next_chunk + depth;
-    for (std::size_t quality = 0; quality < levels; ++quality) {
-      const double size_bytes = video.chunk_size_bytes(chunk, quality);
-      const double bitrate = video.bitrate_mbps(quality);
+  bitrate_.resize(levels);
+  download_s_.resize(horizon * levels);
+  min_stall_cost_.resize(horizon * levels);
+  pruned_up_to_.assign(horizon, kNegInf);
+  for (std::size_t q = 0; q < levels; ++q) bitrate_[q] = video.bitrate_mbps(q);
+  for (std::size_t d = 0; d < horizon; ++d) {
+    for (std::size_t q = 0; q < levels; ++q) {
+      const double size_bytes =
+          video.chunk_size_bytes(context.next_chunk + d, q);
       const double download_s = size_bytes * 8.0 / 1e6 / predicted_mbps;
-      const double stall = std::max(0.0, download_s - state.buffer_s);
-      double buffer = std::max(0.0, state.buffer_s - download_s) + chunk_s;
-      buffer = std::min(buffer, context.buffer_capacity_s);
-      double qoe = state.qoe + bitrate - config_.rebuffer_penalty * stall;
-      if (state.prev_bitrate >= 0.0) {
-        qoe -= config_.switch_penalty * std::abs(bitrate - state.prev_bitrate);
-      }
-      self(self, depth + 1, Rollout{buffer, qoe, bitrate},
-           depth == 0 ? quality : first);
+      download_s_[d * levels + q] = download_s;
+      // The least stall penalty any plan pays here at depth d >= 1 (row 0
+      // is never read): every buffer after a step is at most capacity.
+      min_stall_cost_[d * levels + q] =
+          dyn.rebuffer_penalty *
+          std::max(0.0, download_s - dyn.capacity_s);
     }
-  };
+  }
 
-  Rollout initial;
-  initial.buffer_s = context.buffer_s;
-  initial.prev_bitrate =
+  Rollout root;
+  root.buffer_s = context.buffer_s;
+  root.prev_bitrate =
       has_last_quality_ ? video.bitrate_mbps(last_quality_) : -1.0;
-  rollout(rollout, 0, initial, 0);
 
-  last_quality_ = best_first;
+  HorizonSearch search{bitrate_.data(),        download_s_.data(),
+                       min_stall_cost_.data(), pruned_up_to_.data(),
+                       levels,                 horizon,
+                       dyn};
+  // The floor: the best constant-quality plan, itself a leaf.
+  for (std::size_t q = 0; q < levels; ++q) {
+    Rollout plan = root;
+    for (std::size_t d = 0; d < horizon; ++d) {
+      plan = step(plan, download_s_[d * levels + q], bitrate_[q], dyn);
+    }
+    if (plan.qoe > search.floor) search.floor = plan.qoe;
+  }
+  search.visit(0, root, 0);
+
+  last_quality_ = search.best_first;
   has_last_quality_ = true;
-  return best_first;
+  return search.best_first;
 }
 
 }  // namespace veritas::abr

@@ -18,6 +18,13 @@ void apply_slow_start_restart(TcpState& w, const TcpConfig& config) {
     return;
   }
   if (w.last_send_gap_s <= w.rto_s) return;
+  // The halving loop below ends because cwnd reaches the floor, not
+  // because the gap runs out (rto_s may be 0): a finite cwnd halves to
+  // a positive init_cwnd within ~2,100 passes (DBL_MAX down through the
+  // subnormals), while an infinite cwnd, or a floor <= 0, never gets
+  // there.
+  VERITAS_EXPECTS(std::isfinite(w.cwnd_segments));
+  VERITAS_EXPECTS(config.init_cwnd > 0.0);
   // Raise ssthresh from the pre-decay window (Linux
   // tcp_cwnd_application_limited: ssthresh = max(ssthresh, 3/4 cwnd)).
   w.ssthresh_segments = std::max(

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "abr/abr.hpp"
@@ -149,6 +150,25 @@ TEST(Mpc, RobustDiscountLowersChoice) {
     q_plain = plain.choose_quality(make_context(v, 3.0, h));
   }
   EXPECT_LE(q_robust, q_plain);
+}
+
+TEST(Mpc, RefusesPenaltiesTheSearchBoundCannotCover) {
+  // The pruned horizon search is exact only for finite, non-negative
+  // penalties (mpc.hpp); anything else is refused up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-12, nan, inf}) {
+    MpcConfig rebuffer;
+    rebuffer.rebuffer_penalty = bad;
+    EXPECT_THROW(Mpc{rebuffer}, ContractViolation) << bad;
+    MpcConfig switching;
+    switching.switch_penalty = bad;
+    EXPECT_THROW(Mpc{switching}, ContractViolation) << bad;
+  }
+  MpcConfig zero;
+  zero.rebuffer_penalty = 0.0;
+  zero.switch_penalty = 0.0;
+  EXPECT_NO_THROW(Mpc{zero});
 }
 
 TEST(Bola, LowBufferPicksLowest) {

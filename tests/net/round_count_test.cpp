@@ -260,5 +260,57 @@ TEST(RoundCount, ZeroWindowLogIsRefusedInsteadOfHanging) {
   EXPECT_THROW((void)engine.infer(log), ContractViolation);
 }
 
+
+// Regression: an infinite cwnd with rto_s = 0 and a positive send gap.
+// Slow-start restart fired (gap > rto), the gap never shrank (each pass
+// subtracts rto_s = 0) and inf / 2 stayed above the floor, so the
+// halving loop spun forever. The restart now refuses a non-finite window
+// and a non-positive floor; a finite window, however large, reaches the
+// floor.
+TEST(RoundCount, InfiniteWindowRestartIsRefusedInsteadOfHanging) {
+  const TcpConfig cfg;
+  TcpState w;
+  w.cwnd_segments = std::numeric_limits<double>::infinity();
+  w.rto_s = 0.0;
+  w.last_send_gap_s = 1.0;
+  const double size = 1e6;
+  EXPECT_THROW(estimate_throughput_mbps(3.0, w, size, cfg), ContractViolation);
+  EXPECT_THROW(estimate_throughput_mbps(0.0, w, size, cfg), ContractViolation);
+  namespace sk = math::simd_kernels;
+  for (const sk::Mode mode : {sk::Mode::kForceScalar, sk::Mode::kForceSimd}) {
+    const sk::ScopedMode scoped(mode);
+    const std::vector<double> candidates = {0.0, 0.5, 3.0, 10.0};
+    std::vector<double> out(candidates.size());
+    EXPECT_THROW(estimate_throughput_batch(candidates, w, size, cfg, out),
+                 ContractViolation);
+  }
+
+  // The same window with no restart (gap <= rto) is not refused: the
+  // window already covers the pipe.
+  TcpState idle_free = w;
+  idle_free.last_send_gap_s = 0.0;
+  EXPECT_EQ(estimate_throughput_mbps(3.0, idle_free, size, cfg), 3.0);
+
+  // The largest finite window halves down to init_cwnd and terminates.
+  TcpState huge = w;
+  huge.cwnd_segments = std::numeric_limits<double>::max();
+  TcpState restarted = huge;
+  apply_slow_start_restart(restarted, cfg);
+  EXPECT_EQ(restarted.cwnd_segments, cfg.init_cwnd);
+  EXPECT_GT(estimate_throughput_mbps(3.0, huge, size, cfg), 0.0);
+
+  // A floor that is not positive would let the window halve to 0 and
+  // stay above a negative floor forever (or never apply, if NaN).
+  for (const double floor : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    TcpConfig bad_floor;
+    bad_floor.init_cwnd = floor;
+    TcpState finite = huge;
+    EXPECT_THROW(apply_slow_start_restart(finite, bad_floor),
+                 ContractViolation)
+        << floor;
+  }
+}
+
 }  // namespace
 }  // namespace veritas::net

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,40 @@ TEST(VeritasService, ZeroWindowLogResolvesNonOkWithinABound) {
   Query bad;
   bad.log = logs[0];
   bad.log.chunks.at(9).tcp_at_start.cwnd_segments = 0.0;
+  bad.shard = "main";
+  auto refused = service.submit(std::move(bad));
+  ASSERT_EQ(refused.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_FALSE(refused.get().ok());
+
+  Query good;
+  good.log = logs[1];
+  good.shard = "main";
+  auto served = service.submit(std::move(good));
+  ASSERT_EQ(served.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(served.get().ok());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_TRUE(stats.reconciled());
+}
+
+TEST(VeritasService, InfiniteWindowLogResolvesNonOkWithinABound) {
+  // A chunk logged with an infinite cwnd, rto_s = 0 and a positive send
+  // gap used to spin the lane in slow-start restart's halving loop. Its
+  // future must resolve promptly with a non-OK status, and the lane
+  // keeps serving.
+  ServiceOptions options;
+  options.num_threads = 1;
+  VeritasService service(options);
+  service.add_shard("main", config_a());
+  const std::vector<sim::SessionLog> logs = make_logs(2);
+  Query bad;
+  bad.log = logs[0];
+  net::TcpState& w = bad.log.chunks.at(9).tcp_at_start;
+  w.cwnd_segments = std::numeric_limits<double>::infinity();
+  w.rto_s = 0.0;
+  w.last_send_gap_s = 1.0;
   bad.shard = "main";
   auto refused = service.submit(std::move(bad));
   ASSERT_EQ(refused.wait_for(std::chrono::seconds(30)),
