@@ -80,9 +80,18 @@ PhaseTimes time_phases(const core::InferenceEngine& engine,
   core::Ehmm::Scratch scratch;
   PhaseTimes t;
 
+  // Emissions from a cold (W, S) cache per session, as a fresh engine
+  // sees them: estimator rows, then the batched log-pdf.
+  core::EstimatorCache cache;
+  core::EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const core::EstimatorCache::Entry>> refs;
   math::Matrix logs_matrix;
   t.emissions_us = mean_us_per_session(n, repeat, [&](std::size_t i) {
-    ehmm.emission_log_probs_into(observations[i], logs_matrix);
+    cache.clear();
+    ehmm.emission_mean_rows_into(observations[i], cache, l1, rows, refs);
+    ehmm.emission_log_probs_from_rows_into(observations[i], rows,
+                                           logs_matrix);
   });
   t.viterbi_us = mean_us_per_session(n, repeat, [&](std::size_t i) {
     ehmm.viterbi(observations[i], scratch);

@@ -108,12 +108,14 @@ void BM_ForwardBackwardRecursion(benchmark::State& state) {
   const core::Ehmm ehmm = veritas.make_ehmm();
   const auto obs = core::observations_from_log(shared_log());
   core::Ehmm::Scratch scratch;
-  math::Matrix means;
   core::EstimatorCache means_cache;
-  ehmm.emission_means_into(obs, means, means_cache);
+  core::EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const core::EstimatorCache::Entry>> refs;
+  ehmm.emission_mean_rows_into(obs, means_cache, l1, rows, refs);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ehmm.forward_backward_from_means(obs, means, scratch));
+        ehmm.forward_backward_from_rows(obs, rows, scratch));
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
@@ -184,13 +186,21 @@ void BM_FusedSessionPassMultiWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedSessionPassMultiWindow);
 
+/// The whole emission phase of one session from a cold (W, S) cache:
+/// estimator rows, then the batched log-pdf.
 void BM_EmissionLogProbs(benchmark::State& state) {
   const core::InferenceEngine engine{
       state.range(0) == 0 ? core::VeritasConfig{} : multi_window_config()};
   const auto obs = core::observations_from_log(shared_log());
+  core::EstimatorCache cache;
+  core::EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const core::EstimatorCache::Entry>> refs;
   math::Matrix logs;
   for (auto _ : state) {
-    engine.ehmm().emission_log_probs_into(obs, logs);
+    cache.clear();  // also drops the L1's slots (epoch bump)
+    engine.ehmm().emission_mean_rows_into(obs, cache, l1, rows, refs);
+    engine.ehmm().emission_log_probs_from_rows_into(obs, rows, logs);
     benchmark::DoNotOptimize(logs);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
@@ -207,9 +217,7 @@ struct KernelFixture {
   core::Ehmm ehmm = veritas.make_ehmm();
   std::vector<core::ChunkObservation> obs =
       core::observations_from_log(shared_log());
-  core::Ehmm::Scratch scratch;
-  math::Matrix means;  ///< dense emission means (the Scratch path is
-                       ///< zero-copy since PR 7, so build our own)
+  core::Ehmm::Scratch scratch;  ///< its emission_rows stay pinned
   core::TransitionModel::StepLayouts layouts;
   sk::DeltaTables tables;
   sk::DeltaTables log_tables;
@@ -218,8 +226,6 @@ struct KernelFixture {
 
   KernelFixture() {
     (void)ehmm.forward_backward(obs, scratch);
-    core::EstimatorCache means_cache;
-    ehmm.emission_means_into(obs, means, means_cache);
     using Domain = core::TransitionModel::Domain;
     tables = ehmm.transition().tables(1, Domain::kProbability, layouts);
     log_tables = ehmm.transition().tables(1, Domain::kLog, layouts);
@@ -257,7 +263,7 @@ void BM_KernelEmissionRow(benchmark::State& state) {
   const KernelFixture& f = kernel_fixture();
   const sk::KernelOps& ops = bench_ops(state);
   std::vector<double> out(f.stride, 0.0);
-  const double* means = f.means.row_data(0);
+  const double* means = f.scratch.emission_rows[0];
   for (auto _ : state) {
     ops.emission_log_pdf_row(4.2, means, f.k, f.stride, 0.5,
                              -0.6931471805599453, 0.9189385332046727,
@@ -450,8 +456,8 @@ BENCHMARK(BM_EstimatorBatchCaHeavyK17)
 /// The emission-means phase of one session (the estimator-bound part of
 /// prepare()): /warm:0 clears the (W, S) cache every iteration (every
 /// tuple re-runs f — the cross-session-cache-less cost), /warm:1 leaves
-/// it warm (every tuple is a row copy — the steady state of an engine
-/// serving repeat traffic).
+/// it warm (every row is an L1 probe and a pin — the steady state of an
+/// engine serving repeat traffic).
 void BM_EmissionMeansK17(benchmark::State& state) {
   KernelModeGuard guard(state);
   if (!guard) return;
@@ -459,15 +465,17 @@ void BM_EmissionMeansK17(benchmark::State& state) {
   const core::InferenceEngine engine{k17_config()};
   const auto obs = core::observations_from_log(shared_log());
   core::EstimatorCache cache;
-  math::Matrix means;
+  core::EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const core::EstimatorCache::Entry>> refs;
   for (auto _ : state) {
     if (!warm) {
       state.PauseTiming();
       cache.clear();
       state.ResumeTiming();
     }
-    engine.ehmm().emission_means_into(obs, means, cache);
-    benchmark::DoNotOptimize(means.row_data(0));
+    engine.ehmm().emission_mean_rows_into(obs, cache, l1, rows, refs);
+    benchmark::DoNotOptimize(rows.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
@@ -481,38 +489,8 @@ BENCHMARK(BM_EmissionMeansK17)
     ->Args({2, 1});
 
 /// The PR 5 headline: one full forward-backward call *including* the
-/// estimator-driven emission phase, k = 17.
-///
-/// BM_FbWithEstimatorPr4BaselineK17 replays the PR 4 cost model in the
-/// current binary: emission means through the scalar per-candidate
-/// estimator with a per-session memo (cold cache each call), recursions
-/// through the SIMD kernels — the exact composition PR 4 shipped.
-/// BM_FbWithEstimatorK17 is the PR 5 path: batched estimator under the
-/// dispatch mode of /simd, cross-session cache warm or cold per /warm.
-void BM_FbWithEstimatorPr4BaselineK17(benchmark::State& state) {
-  if (sk::simd_ops() == nullptr) {
-    state.SkipWithError("SIMD kernel table unavailable");
-    return;
-  }
-  const core::InferenceEngine engine{k17_config()};
-  const auto obs = core::observations_from_log(shared_log());
-  core::Ehmm::Scratch scratch;
-  core::EstimatorCache cache;
-  math::Matrix means;
-  for (auto _ : state) {
-    cache.clear();  // per-session memo semantics
-    {
-      sk::ScopedMode scalar_mode(sk::Mode::kForceScalar);
-      engine.ehmm().emission_means_into(obs, means, cache);
-    }
-    sk::ScopedMode simd_mode(sk::Mode::kForceSimd);
-    benchmark::DoNotOptimize(
-        engine.ehmm().forward_backward_from_means(obs, means, scratch));
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
-}
-BENCHMARK(BM_FbWithEstimatorPr4BaselineK17);
-
+/// estimator-driven emission phase, k = 17, under the dispatch mode of
+/// /simd with the cross-session cache warm or cold per /warm.
 void BM_FbWithEstimatorK17(benchmark::State& state) {
   KernelModeGuard guard(state);
   if (!guard) return;

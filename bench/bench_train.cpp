@@ -1,7 +1,6 @@
 // Baum-Welch training bench: EM wall-time across 1/2/4/hardware E-step
-// threads, plus the emission ablation (per-iteration estimator recompute
-// vs the per-session memoized means), with a bit-identity cross-check of
-// every configuration against the 1-thread run.
+// threads, with a bit-identity cross-check of every configuration
+// against the 1-thread run.
 //
 // Usage: bench_train [--sessions N] [--iterations I] [--repeat R]
 //                    [--json PATH]
@@ -107,14 +106,10 @@ int main(int argc, char** argv) {
   struct Mode {
     const char* name;
     std::size_t threads;
-    bool reuse_means;
   };
-  std::vector<Mode> modes{{"1 thread, recompute-f", 1, false},
-                          {"1 thread, memoized-f", 1, true},
-                          {"2 threads, memoized-f", 2, true},
-                          {"4 threads, memoized-f", 4, true}};
+  std::vector<Mode> modes{{"1 thread", 1}, {"2 threads", 2}, {"4 threads", 4}};
   const std::size_t hw = util::ThreadPool::hardware_threads();
-  if (hw > 4) modes.push_back({"hw threads, memoized-f", hw, true});
+  if (hw > 4) modes.push_back({"hw threads", hw});
 
   core::BaumWelchResult reference{core::TransitionModel::uniform(2), 0.0,
                                   {}, 0};
@@ -125,7 +120,6 @@ int main(int argc, char** argv) {
   for (const Mode& mode : modes) {
     core::BaumWelchConfig cfg = base;
     cfg.num_threads = mode.threads;
-    cfg.reuse_emission_means = mode.reuse_means;
     double best_ms = 1e300;
     core::BaumWelchResult result{core::TransitionModel::uniform(2), 0.0,
                                  {}, 0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "util/expects.hpp"
 #include "util/thread_pool.hpp"
@@ -25,12 +26,11 @@ struct SessionStats {
 /// entries Γ_n(i,j) = α_n(i) A(i,j) ẽ_{n+1}(j) β_{n+1}(j) / Z_n are
 /// formed term by term from the scratch arenas — the same values (same
 /// operation order) the seed read out of materialized xi matrices.
-void accumulate_session(const Ehmm& model,
-                        std::span<const ChunkObservation> obs,
-                        const Ehmm::ForwardBackwardResult& fb,
-                        const Ehmm::Scratch& scratch,
-                        const math::Matrix& plain_means,
-                        const BaumWelchConfig& config, SessionStats& stats) {
+void accumulate_session(
+    const Ehmm& model, std::span<const ChunkObservation> obs,
+    const Ehmm::ForwardBackwardResult& fb, const Ehmm::Scratch& scratch,
+    std::span<const std::shared_ptr<const EstimatorCache::Entry>> refs,
+    const BaumWelchConfig& config, SessionStats& stats) {
   const std::size_t k = model.space().size();
   stats.transition_counts.resize(k, k, 0.0);
   stats.initial.assign(k, 0.0);
@@ -72,7 +72,11 @@ void accumulate_session(const Ehmm& model,
 
   if (config.update_sigma) {
     for (std::size_t n = 0; n < obs.size(); ++n) {
-      const double* mean_row = plain_means.row_data(n);
+      // σ is fitted to the un-averaged f(value(i)) row; it is stored
+      // separately only when the estimator span-averages.
+      const EstimatorCache::Entry& entry = *refs[n];
+      const double* mean_row =
+          entry.plain.empty() ? entry.mean.data() : entry.plain.data();
       for (std::size_t i = 0; i < k; ++i) {
         const double r = obs[n].throughput_mbps - mean_row[i];
         stats.residual_sq += fb.gamma(n, i) * r * r;
@@ -120,31 +124,25 @@ BaumWelchResult baum_welch_train(
   // iteration, making stale span-averaged rows unreachable by
   // construction. Sized from a byte budget so large state spaces don't
   // balloon resident memory.
-  const bool multi_window_cache = initial.emission().estimator() ==
-                                  EmissionModel::Estimator::kMultiWindow;
+  const bool multi_window = initial.emission().estimator() ==
+                            EmissionModel::Estimator::kMultiWindow;
   EstimatorCache::Config cache_config;
   cache_config.capacity = EstimatorCache::entries_for_bytes(
-      config.estimator_cache_bytes, initial.space().size(),
-      multi_window_cache);
+      config.estimator_cache_bytes, initial.space().size(), multi_window);
   auto estimator_cache = std::make_shared<EstimatorCache>(cache_config);
   for (Ehmm::Scratch& lane : scratch) {
     lane.estimator_cache = estimator_cache;
   }
 
-  // The emission means f(candidate, W, S) do not depend on (A, u, σ), so
-  // they are computed once per session and reused across iterations —
-  // except under kMultiWindow with update_transition, where the
-  // span-averaged candidates move with A. `plain` additionally holds the
-  // un-averaged f(value(i)) matrix σ re-estimation needs; it aliases
-  // `means` unless the estimator span-averages.
-  const bool multi_window = initial.emission().estimator() ==
-                            EmissionModel::Estimator::kMultiWindow;
-  const bool reuse_means =
-      config.reuse_emission_means &&
-      !(multi_window && config.update_transition);
-  const bool needs_plain = config.update_sigma && multi_window;
-  std::vector<math::Matrix> means(n_sessions);
-  std::vector<math::Matrix> plain(needs_plain ? n_sessions : 0);
+  // The emission means f(candidate, W, S) do not depend on (A, u, σ),
+  // so each session's rows are filled once and stay pinned (refs) across
+  // iterations — except under kMultiWindow with update_transition, where
+  // the span-averaged candidates move with A and the rows are refilled
+  // under each iteration's table id.
+  const bool refill_rows = multi_window && config.update_transition;
+  std::vector<std::vector<const double*>> rows(n_sessions);
+  std::vector<std::vector<std::shared_ptr<const EstimatorCache::Entry>>> refs(
+      n_sessions);
 
   double previous_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
@@ -156,20 +154,18 @@ BaumWelchResult baum_welch_train(
     pool.parallel_for(n_sessions, [&](std::size_t worker, std::size_t idx) {
       const std::vector<ChunkObservation>& obs = sessions[idx];
       Ehmm::Scratch& lane = scratch[worker];
-      if (iter == 0 || !reuse_means) {
+      if (iter == 0 || refill_rows) {
         // The lane's L1 front-cache rides along: repeat tuples inside a
         // lane skip the shared memo's shard locks entirely. Rows are
         // bit-identical either way, so the thread-count determinism
         // argument is untouched.
-        model.emission_means_into(obs, means[idx], *lane.estimator_cache,
-                                  needs_plain ? &plain[idx] : nullptr,
-                                  &lane.estimator_l1);
+        model.emission_mean_rows_into(obs, *lane.estimator_cache,
+                                      lane.estimator_l1, rows[idx],
+                                      refs[idx]);
       }
       const Ehmm::ForwardBackwardResult fb =
-          model.forward_backward_from_means(obs, means[idx], lane);
-      accumulate_session(model, obs, fb, lane,
-                         needs_plain ? plain[idx] : means[idx], config,
-                         stats[idx]);
+          model.forward_backward_from_rows(obs, rows[idx], lane);
+      accumulate_session(model, obs, fb, lane, refs[idx], config, stats[idx]);
     });
 
     // Ordered reduction: session-index order, independent of which lane

@@ -15,8 +15,10 @@
 // matrices materialized) on a util::ThreadPool lane, and the per-session
 // statistics are reduced in session-index order — so the trained
 // parameters are bit-identical for every thread count. Emission means
-// (the TCP estimator f) are invariant in (A, u, σ) and are cached per
-// session across EM iterations instead of recomputed each one.
+// (the TCP estimator f) are invariant in (A, u, σ): each session pins
+// its estimator-cache rows on the first iteration and reuses them in
+// every later one, except under kMultiWindow with update_transition,
+// where the span-averaged means move with A and are refilled.
 #pragma once
 
 #include <span>
@@ -38,11 +40,6 @@ struct BaumWelchConfig {
   /// the hardware thread count. Any value yields bit-identical results:
   /// per-session statistics are merged in session order.
   std::size_t num_threads = 0;
-  /// Cache each session's emission-mean matrix across EM iterations.
-  /// Disabled automatically under kMultiWindow with update_transition
-  /// (there the span-averaged means depend on A). The `false` setting is
-  /// the bench ablation: re-run the TCP estimator every iteration.
-  bool reuse_emission_means = true;
   /// Byte budget of the run-wide (W, S) estimator memo shared across
   /// E-step lanes and EM iterations (converted to entries from the
   /// state-space size; see core/estimator_cache.hpp).

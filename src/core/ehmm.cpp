@@ -1,7 +1,6 @@
 #include "core/ehmm.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -105,6 +104,9 @@ Ehmm::Ehmm(StateSpace space, TransitionModel transition,
 
 std::size_t Ehmm::window_of(double t_s) const {
   VERITAS_EXPECTS(t_s >= 0.0);
+  // Checked on the quotient before the cast: past the bound the cast
+  // could overflow size_t, and a trace over such a span would not fit.
+  VERITAS_EXPECTS(t_s / delta_s_ < static_cast<double>(kMaxSessionWindows));
   return static_cast<std::size_t>(t_s / delta_s_);
 }
 
@@ -112,11 +114,12 @@ void Ehmm::window_deltas_into(std::span<const ChunkObservation> observations,
                               std::vector<std::size_t>& out) const {
   VERITAS_EXPECTS(!observations.empty());
   out.assign(observations.size(), 0);
+  std::size_t prev = window_of(observations[0].start_s);
   for (std::size_t n = 1; n < observations.size(); ++n) {
-    const std::size_t prev = window_of(observations[n - 1].start_s);
     const std::size_t curr = window_of(observations[n].start_s);
     VERITAS_EXPECTS(curr >= prev);
     out[n] = curr - prev;
+    prev = curr;
   }
 }
 
@@ -126,31 +129,6 @@ std::vector<std::size_t> Ehmm::window_deltas(
   window_deltas_into(observations, deltas);
   return deltas;
 }
-
-namespace {
-
-/// Quantizes the estimator inputs of observations[n] when the cache is
-/// lossy (both the key and the evaluation use the quantized values, so a
-/// hit stays bit-identical to the miss that filled it); pass-through
-/// otherwise. `storage` backs the quantized copy across loop iterations.
-const ChunkObservation& quantized_view(const EstimatorCache& cache,
-                                       bool quantized,
-                                       const ChunkObservation& raw,
-                                       ChunkObservation& storage) {
-  if (!quantized) return raw;
-  storage = raw;
-  storage.tcp.cwnd_segments = cache.quantize(storage.tcp.cwnd_segments);
-  storage.tcp.ssthresh_segments =
-      cache.quantize(storage.tcp.ssthresh_segments);
-  storage.tcp.rto_s = cache.quantize(storage.tcp.rto_s);
-  storage.tcp.min_rtt_s = cache.quantize(storage.tcp.min_rtt_s);
-  storage.tcp.rtt_s = cache.quantize(storage.tcp.rtt_s);
-  storage.tcp.last_send_gap_s = cache.quantize(storage.tcp.last_send_gap_s);
-  storage.size_bytes = cache.quantize(storage.size_bytes);
-  return storage;
-}
-
-}  // namespace
 
 void Ehmm::compute_cache_entry(const ChunkObservation& obs,
                                EstimatorCache::Entry& entry,
@@ -199,79 +177,6 @@ void Ehmm::compute_cache_entry(const ChunkObservation& obs,
   entry.plain.assign(y0_row.begin(), y0_row.end());
 }
 
-void Ehmm::emission_means_into(std::span<const ChunkObservation> observations,
-                               math::Matrix& means, EstimatorCache& cache,
-                               math::Matrix* plain_means,
-                               EstimatorCache::L1* l1) const {
-  VERITAS_EXPECTS(!observations.empty());
-  const std::size_t n_obs = observations.size();
-  const std::size_t k = space_.size();
-  // Padded rows: the batched emission kernel may read whole lanes.
-  means.resize_padded(n_obs, k, 0.0);
-  if (plain_means != nullptr) plain_means->resize_padded(n_obs, k, 0.0);
-  const bool quantized = cache.quantizes();
-  if (l1 != nullptr) l1->sync(cache);
-  // kMultiWindow span-estimation buffers, reused across rows.
-  std::vector<double> y0_row;
-  std::vector<double> span_cands;
-  std::vector<std::uint8_t> span_gt1;
-  if (multi_window_) {
-    y0_row.resize(k);
-    span_cands.resize(k);
-    span_gt1.resize(k);
-  }
-  ChunkObservation quantized_obs;
-  for (std::size_t n = 0; n < n_obs; ++n) {
-    const ChunkObservation& obs =
-        quantized_view(cache, quantized, observations[n], quantized_obs);
-    double* mean_row = means.row_data(n);
-    double* plain_row =
-        plain_means != nullptr ? plain_means->row_data(n) : nullptr;
-    const EstimatorCache::Key key =
-        EstimatorCache::key_of(obs.tcp, obs.size_bytes, emission_table_id_);
-    const EstimatorCache::Entry* hit = nullptr;
-    if (l1 != nullptr) {
-      // L1 first: a repeat tuple inside this lane costs a handful of
-      // probes instead of a shard lock + hash-map lookup. No put happens
-      // between find and the memcpy below, so the raw pointer is safe.
-      if (const std::shared_ptr<const EstimatorCache::Entry>* pinned =
-              l1->find(key)) {
-        hit = pinned->get();
-      }
-    }
-    std::shared_ptr<const EstimatorCache::Entry> shared_hit;
-    if (hit == nullptr) {
-      shared_hit = cache.find(key);
-      if (shared_hit != nullptr) {
-        hit = shared_hit.get();
-        if (l1 != nullptr) l1->put(key, std::move(shared_hit));
-      }
-    }
-    if (hit != nullptr) {
-      // This (TCP state, size) tuple already ran the estimator — in this
-      // session, an earlier one, or on another thread: the row is
-      // identical by construction.
-      std::memcpy(mean_row, hit->mean.data(), k * sizeof(double));
-      if (plain_row != nullptr) {
-        const std::vector<double>& plain =
-            hit->plain.empty() ? hit->mean : hit->plain;
-        std::memcpy(plain_row, plain.data(), k * sizeof(double));
-      }
-      continue;
-    }
-    auto entry = std::make_shared<EstimatorCache::Entry>();
-    compute_cache_entry(obs, *entry, y0_row, span_cands, span_gt1);
-    std::memcpy(mean_row, entry->mean.data(), k * sizeof(double));
-    if (plain_row != nullptr) {
-      const std::vector<double>& plain =
-          entry->plain.empty() ? entry->mean : entry->plain;
-      std::memcpy(plain_row, plain.data(), k * sizeof(double));
-    }
-    if (l1 != nullptr) l1->put(key, entry);
-    cache.insert(key, std::move(entry));
-  }
-}
-
 void Ehmm::emission_mean_rows_into(
     std::span<const ChunkObservation> observations, EstimatorCache& cache,
     EstimatorCache::L1& l1, std::vector<const double*>& rows,
@@ -282,7 +187,6 @@ void Ehmm::emission_mean_rows_into(
   rows.resize(n_obs);
   refs.clear();
   refs.reserve(n_obs);
-  const bool quantized = cache.quantizes();
   l1.sync(cache);
   std::vector<double> y0_row;
   std::vector<double> span_cands;
@@ -292,10 +196,8 @@ void Ehmm::emission_mean_rows_into(
     span_cands.resize(k);
     span_gt1.resize(k);
   }
-  ChunkObservation quantized_obs;
   for (std::size_t n = 0; n < n_obs; ++n) {
-    const ChunkObservation& obs =
-        quantized_view(cache, quantized, observations[n], quantized_obs);
+    const ChunkObservation& obs = observations[n];
     const EstimatorCache::Key key =
         EstimatorCache::key_of(obs.tcp, obs.size_bytes, emission_table_id_);
     // Every served row is pinned in `refs` — a later put() may displace
@@ -324,30 +226,6 @@ void Ehmm::emission_mean_rows_into(
   }
 }
 
-void Ehmm::emission_log_probs_from_means_into(
-    std::span<const ChunkObservation> observations, const math::Matrix& means,
-    math::Matrix& out) const {
-  VERITAS_EXPECTS(!observations.empty());
-  const std::size_t n_obs = observations.size();
-  const std::size_t k = space_.size();
-  VERITAS_EXPECTS(means.rows() == n_obs && means.cols() == k);
-  out.resize_padded(n_obs, k, kNegInf);
-  // Batched Normal log-density (the body of EmissionModel::
-  // log_prob_given_mean), one SIMD-dispatched kernel call per chunk row.
-  // The kernel replicates math::log_normal_pdf's operation order, so
-  // scalar and vector paths agree bitwise with the per-call composition.
-  const KernelOps& ops = math::simd_kernels::active_ops();
-  const double sigma = emission_.sigma_mbps();
-  const double log_sigma = std::log(sigma);
-  const double half_log_2pi = 0.5 * std::log(2.0 * std::numbers::pi);
-  const std::size_t stride = out.col_stride();
-  for (std::size_t n = 0; n < n_obs; ++n) {
-    ops.emission_log_pdf_row(observations[n].throughput_mbps,
-                             means.row_data(n), k, stride, sigma, log_sigma,
-                             half_log_2pi, out.row_data(n));
-  }
-}
-
 void Ehmm::emission_log_probs_from_rows_into(
     std::span<const ChunkObservation> observations,
     std::span<const double* const> rows, math::Matrix& out) const {
@@ -356,9 +234,12 @@ void Ehmm::emission_log_probs_from_rows_into(
   const std::size_t k = space_.size();
   VERITAS_EXPECTS(rows.size() == n_obs);
   out.resize_padded(n_obs, k, kNegInf);
-  // Same batched kernel as the matrix overload; the kernel contract only
-  // requires k readable doubles per mean row, so the unpadded in-entry
-  // rows are fed directly — no densification copy.
+  // Batched Normal log-density (the body of EmissionModel::
+  // log_prob_given_mean), one SIMD-dispatched kernel call per chunk row.
+  // The kernel replicates math::log_normal_pdf's operation order, so
+  // scalar and vector paths agree bitwise with the per-call composition.
+  // It only requires k readable doubles per mean row, so the unpadded
+  // in-entry rows are fed directly — no densification copy.
   const KernelOps& ops = math::simd_kernels::active_ops();
   const double sigma = emission_.sigma_mbps();
   const double log_sigma = std::log(sigma);
@@ -369,21 +250,6 @@ void Ehmm::emission_log_probs_from_rows_into(
                              stride, sigma, log_sigma, half_log_2pi,
                              out.row_data(n));
   }
-}
-
-void Ehmm::emission_log_probs_into(
-    std::span<const ChunkObservation> observations, math::Matrix& out) const {
-  EstimatorCache cache;
-  math::Matrix means;
-  emission_means_into(observations, means, cache);
-  emission_log_probs_from_means_into(observations, means, out);
-}
-
-math::Matrix Ehmm::emission_log_probs(
-    std::span<const ChunkObservation> observations) const {
-  math::Matrix logs;
-  emission_log_probs_into(observations, logs);
-  return logs;
 }
 
 void Ehmm::prepare(std::span<const ChunkObservation> observations,
@@ -403,7 +269,7 @@ void Ehmm::prepare(std::span<const ChunkObservation> observations,
   // Zero-copy emission phase (PR 7): the L1 front-cache serves repeat
   // tuples without shard locks, and rows are consumed straight out of
   // cache-entry storage — a fully warm session does no row memcpy at
-  // all. Bit-identical to the dense emission_means_into pipeline.
+  // all.
   {
     VERITAS_TRACE_SPAN("ehmm.emission_means", "ehmm");
     emission_mean_rows_into(observations, *scratch.estimator_cache,
@@ -701,12 +567,11 @@ Ehmm::ForwardBackwardResult Ehmm::forward_backward(
   return forward_backward(observations, scratch);
 }
 
-Ehmm::ForwardBackwardResult Ehmm::forward_backward_from_means(
-    std::span<const ChunkObservation> observations, const math::Matrix& means,
-    Scratch& scratch) const {
+Ehmm::ForwardBackwardResult Ehmm::forward_backward_from_rows(
+    std::span<const ChunkObservation> observations,
+    std::span<const double* const> rows, Scratch& scratch) const {
   VERITAS_EXPECTS(!observations.empty());
-  emission_log_probs_from_means_into(observations, means,
-                                     scratch.log_emission);
+  emission_log_probs_from_rows_into(observations, rows, scratch.log_emission);
   window_deltas_into(observations, scratch.deltas);
   ForwardBackwardResult result;
   forward_backward_from(observations.size(), scratch, result);

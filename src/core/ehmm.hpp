@@ -116,7 +116,8 @@ class Ehmm {
     std::vector<std::shared_ptr<const EstimatorCache::Entry>> emission_refs;
   };
 
-  /// GTBW window index of wall-clock time t.
+  /// GTBW window index of wall-clock time t. Requires 0 <= t and
+  /// t / δ < kMaxSessionWindows (see core/observation.hpp).
   std::size_t window_of(double t_s) const;
 
   /// Δn for n = 1..N-1 (Δ[0] is defined as 0 and unused). Requires
@@ -126,39 +127,19 @@ class Ehmm {
   void window_deltas_into(std::span<const ChunkObservation> observations,
                           std::vector<std::size_t>& out) const;
 
-  /// N x K matrix of log emission probabilities:
-  /// (n, i) -> log P(Y_n | W_sn, S_n, C = value(i)).
-  math::Matrix emission_log_probs(
-      std::span<const ChunkObservation> observations) const;
-  void emission_log_probs_into(std::span<const ChunkObservation> observations,
-                               math::Matrix& out) const;
-
-  /// N x K matrix of emission means: (n, i) -> f(candidate_i, W_sn, S_n),
-  /// span-averaged under kMultiWindow. Each distinct (TCP state, size)
+  /// The emission means of a session: fills `rows[n]` with a pointer to
+  /// row n of the N x K mean matrix, (n, i) -> f(candidate_i, W_sn, S_n)
+  /// (span-averaged under kMultiWindow). Each distinct (TCP state, size)
   /// tuple runs the batched estimator once and is memoized in `cache` —
-  /// within the session (the old EmissionMemo dedup), across sessions,
-  /// and across threads when the cache is shared. When `plain_means` is
-  /// non-null it receives the un-averaged f(value(i), W, S) matrix —
-  /// what Baum-Welch's σ re-estimate consumes; identical to `means`
-  /// except under kMultiWindow, and filled from the same estimator
-  /// evaluations. Results are bit-identical whether a row came from a
-  /// hit or a miss (under quantization both paths evaluate the quantized
-  /// inputs). When `l1` is non-null it is sync()ed to `cache` and
-  /// consulted before the shared memo — pure acceleration, same bits.
-  void emission_means_into(std::span<const ChunkObservation> observations,
-                           math::Matrix& means, EstimatorCache& cache,
-                           math::Matrix* plain_means = nullptr,
-                           EstimatorCache::L1* l1 = nullptr) const;
-
-  /// Zero-copy variant of emission_means_into: instead of memcpying each
-  /// memoized row into a dense matrix, fills `rows[n]` with a pointer
-  /// into the cache entry's own storage (k readable doubles, unpadded)
-  /// and pins each entry in `refs` so the pointers outlive L1
-  /// displacement and shard capacity flushes for the whole session.
-  /// An L1 hit here costs a probe and one shared_ptr copy — no shard
-  /// lock, no hash-map lookup, no row copy. Row values are bit-identical
-  /// to the matrix API's. Plain (un-averaged) means are not exposed —
-  /// Baum-Welch's σ path keeps the matrix API.
+  /// within the session, across sessions, and across threads when the
+  /// cache is shared; `l1` is sync()ed to `cache` and consulted first.
+  /// The pointers aim straight into the cache entries' own storage (k
+  /// readable doubles, unpadded), and `refs[n]` pins row n's entry, so
+  /// the rows outlive L1 displacement and shard capacity flushes for as
+  /// long as the caller keeps `refs`. `refs[n]->plain` holds the
+  /// un-averaged f(value(i), W, S) row that Baum-Welch's σ re-estimate
+  /// reads; it is empty (equal to `mean`) except under kMultiWindow.
+  /// Rows are bit-identical whether they came from a hit or a miss.
   void emission_mean_rows_into(
       std::span<const ChunkObservation> observations, EstimatorCache& cache,
       EstimatorCache::L1& l1, std::vector<const double*>& rows,
@@ -172,16 +153,8 @@ class Ehmm {
     return emission_table_id_;
   }
 
-  /// Emission log-probs from precomputed means:
-  /// out(n, i) = log Normal(Y_n; means(n, i), σ). Composing this with
-  /// emission_means_into is bit-identical to emission_log_probs_into.
-  void emission_log_probs_from_means_into(
-      std::span<const ChunkObservation> observations,
-      const math::Matrix& means, math::Matrix& out) const;
-
-  /// emission_log_probs_from_means_into over row pointers (as produced
-  /// by emission_mean_rows_into) instead of a dense matrix —
-  /// bit-identical to the matrix overload for equal row values.
+  /// Emission log-probs from mean rows (as produced by
+  /// emission_mean_rows_into): out(n, i) = log Normal(Y_n; rows[n][i], σ).
   void emission_log_probs_from_rows_into(
       std::span<const ChunkObservation> observations,
       std::span<const double* const> rows, math::Matrix& out) const;
@@ -220,14 +193,14 @@ class Ehmm {
   ForwardBackwardResult forward_backward(
       std::span<const ChunkObservation> observations, Scratch& scratch) const;
 
-  /// Forward-backward with caller-supplied emission means (as produced
-  /// by emission_means_into). The means are invariant in (A, u, σ), so
-  /// Baum-Welch computes them once per session and reuses them across
-  /// EM iterations. Bit-identical to forward_backward when the means
-  /// match the model's.
-  ForwardBackwardResult forward_backward_from_means(
+  /// Forward-backward with caller-supplied emission mean rows (as
+  /// produced by emission_mean_rows_into). The means are invariant in
+  /// (A, u, σ), so Baum-Welch fills them once per session and reuses
+  /// them across EM iterations. Bit-identical to forward_backward when
+  /// the rows match the model's.
+  ForwardBackwardResult forward_backward_from_rows(
       std::span<const ChunkObservation> observations,
-      const math::Matrix& means, Scratch& scratch) const;
+      std::span<const double* const> rows, Scratch& scratch) const;
 
   /// One pair posterior Γ_n (k×k), rebuilt from the scratch arenas of
   /// the forward_backward call that produced `fb`. Bit-identical to the
@@ -259,11 +232,9 @@ class Ehmm {
                             Scratch& scratch) const;
 
  private:
-  /// Runs the batched estimator for one (already-quantized) observation
-  /// and fills `entry`: `mean` always (k doubles), `plain` only under
-  /// kMultiWindow. The three buffers are span-estimation scratch reused
-  /// across rows. Shared by the matrix and row-span emission paths so
-  /// both produce bit-identical entries.
+  /// Runs the batched estimator for one observation and fills `entry`:
+  /// `mean` always (k doubles), `plain` only under kMultiWindow. The
+  /// three buffers are span-estimation scratch reused across rows.
   void compute_cache_entry(const ChunkObservation& obs,
                            EstimatorCache::Entry& entry,
                            std::vector<double>& y0_row,

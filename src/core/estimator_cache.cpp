@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -43,14 +42,6 @@ EstimatorCache::EstimatorCache(Config config)
       shards_(std::make_unique<Shard[]>(
           std::max<std::size_t>(1, config.shards))) {
   config_.shards = std::max<std::size_t>(1, config.shards);
-}
-
-double EstimatorCache::quantize(double v) const noexcept {
-  const unsigned bits = config_.quantize_mantissa_bits;
-  if (bits == 0 || bits >= 52 || !std::isfinite(v)) return v;
-  const std::uint64_t u = std::bit_cast<std::uint64_t>(v);
-  const std::uint64_t mask = ~((std::uint64_t{1} << (52 - bits)) - 1);
-  return std::bit_cast<double>(u & mask);
 }
 
 EstimatorCache::Key EstimatorCache::key_of(const net::TcpState& w,

@@ -18,16 +18,8 @@
 // without ever observing another model's rows; retraining under
 // kMultiWindow moves the id with A, so stale span-averaged rows become
 // unreachable by construction (the same epoch idea as the service's
-// result cache, one layer down).
-//
-// Quantization: with quantize_mantissa_bits > 0 the estimator *inputs*
-// are rounded to the top N mantissa bits before both keying and
-// evaluation, so near-identical TCP snapshots (real fleets produce
-// continuum-valued ones) collapse onto shared entries. Because the
-// evaluation itself uses the quantized inputs, a hit is still
-// bit-identical to the miss that created the entry — the knob trades
-// emission-mean fidelity for hit rate, never determinism. 0 (the
-// default) keys exact bit patterns and changes no result at all.
+// result cache, one layer down). Keys are exact, so a hit is bit-identical
+// to the miss that filled it.
 #pragma once
 
 #include <array>
@@ -58,8 +50,6 @@ class EstimatorCache {
     std::size_t capacity = 1 << 16;
     /// Independently locked shards.
     std::size_t shards = 16;
-    /// Mantissa bits kept when quantizing estimator inputs; 0 = exact.
-    unsigned quantize_mantissa_bits = 0;
   };
 
   /// One memoized row pair. `plain` is only filled when the model
@@ -106,17 +96,8 @@ class EstimatorCache {
     return entries < 1024 ? 1024 : entries;
   }
 
-  bool quantizes() const noexcept {
-    return config_.quantize_mantissa_bits > 0;
-  }
-
-  /// Rounds one estimator input to the configured mantissa grid
-  /// (truncation toward zero; identity when quantization is off or the
-  /// value is non-finite).
-  double quantize(double v) const noexcept;
-
-  /// The key of a (state, size) tuple under `table_id`. Callers pass
-  /// already-quantized inputs (see quantize()).
+  /// The key of a (state, size) tuple under `table_id`: the exact bit
+  /// patterns of the estimator inputs.
   static Key key_of(const net::TcpState& w, double size_bytes,
                     std::uint64_t table_id) noexcept;
 

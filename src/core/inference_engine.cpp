@@ -12,7 +12,7 @@ namespace veritas::core {
 
 namespace {
 
-Ehmm build_ehmm(const VeritasConfig& config, const EngineOptions& options) {
+Ehmm build_ehmm(const VeritasConfig& config) {
   StateSpace space(config.epsilon_mbps, config.max_mbps);
   TransitionModel transition = [&] {
     switch (config.prior) {
@@ -27,16 +27,13 @@ Ehmm build_ehmm(const VeritasConfig& config, const EngineOptions& options) {
     }
   }();
   EmissionModel emission(config.sigma_mbps, config.tcp, config.estimator);
-  const std::size_t powers = options.precomputed_powers != 0
-                                 ? options.precomputed_powers
-                                 : config.precomputed_powers;
   return Ehmm(std::move(space), std::move(transition), std::move(emission),
-              config.delta_s, powers);
+              config.delta_s, config.precomputed_powers);
 }
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(VeritasConfig config, EngineOptions options)
+InferenceEngine::InferenceEngine(VeritasConfig config)
     : config_([&] {
         VERITAS_EXPECTS(config.delta_s > 0.0);
         VERITAS_EXPECTS(config.epsilon_mbps > 0.0);
@@ -45,13 +42,12 @@ InferenceEngine::InferenceEngine(VeritasConfig config, EngineOptions options)
         VERITAS_EXPECTS(config.num_samples >= 1);
         return config;
       }()),
-      ehmm_(build_ehmm(config_, options)) {
+      ehmm_(build_ehmm(config_)) {
   if (config_.estimator_cache_bytes > 0) {
     EstimatorCache::Config cache_config;
     cache_config.capacity = EstimatorCache::entries_for_bytes(
         config_.estimator_cache_bytes, ehmm_.space().size(),
         config_.estimator == EmissionModel::Estimator::kMultiWindow);
-    cache_config.quantize_mantissa_bits = config_.estimator_cache_quant_bits;
     estimator_cache_ = std::make_shared<EstimatorCache>(cache_config);
   }
 }
@@ -60,9 +56,8 @@ void InferenceEngine::attach_cache(Ehmm::Scratch& scratch) const {
   // Overwrite unconditionally — including with null: a serving lane's
   // scratch hops between shards, and each job must consult exactly the
   // cache of the engine it pinned. Leaving a previous engine's cache
-  // attached when this engine disabled its own would make results
-  // depend on lane history (that cache may quantize), consume another
-  // shard's budget, and pin a removed shard's memory. With null, the
+  // attached when this engine disabled its own would consume another
+  // shard's budget and pin a removed shard's memory. With null, the
   // Ehmm falls back to a fresh per-call private memo — the documented
   // cache-disabled semantics.
   scratch.estimator_cache = estimator_cache_;

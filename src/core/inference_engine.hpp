@@ -46,10 +46,11 @@ struct VeritasConfig {
   std::uint64_t seed = 1234;
   /// Dense A^Δ power-table size: window deltas below this are served
   /// lock-free from precomputed (padded) tables; deltas at or beyond it
-  /// fall back to the transition model's mutex-guarded memo with the
-  /// slower strided kernels (see bench_micro_core BM_TransitionPower*).
-  /// Raise it for workloads with long in-session gaps, lower it to trim
-  /// engine build time / memory for short sessions.
+  /// come from the transition model's shared_mutex-guarded memo and run
+  /// the same kernels, with the step's layouts built into the scratch
+  /// (see bench_micro_core BM_TransitionPower*). Raise it for workloads
+  /// with long in-session gaps, lower it to trim engine build time /
+  /// memory for short sessions.
   std::size_t precomputed_powers = Ehmm::kDefaultPrecomputedPowers;
   /// Byte budget of the engine-owned cross-session (W, S) estimator
   /// cache shared by every scratch the engine serves (see
@@ -57,16 +58,9 @@ struct VeritasConfig {
   /// state-space size, since each entry stores a k-double mean row —
   /// a fixed entry count would balloon on large grids). 0 disables
   /// caching for this engine: every infer call runs with a fresh
-  /// per-session memo (the pre-PR 5 behavior). Exact keys by default,
-  /// so the setting never changes results, only how often the TCP
-  /// estimator actually runs.
+  /// per-session memo. Keys are exact, so the setting never changes
+  /// results, only how often the TCP estimator actually runs.
   std::size_t estimator_cache_bytes = EstimatorCache::kDefaultByteBudget;
-  /// Mantissa bits kept when quantizing estimator-cache inputs; 0 (the
-  /// default) keys exact bit patterns and is bit-identical to no
-  /// caching. Positive values collapse near-identical TCP snapshots
-  /// onto shared entries (higher hit rate, bounded emission-mean error;
-  /// hits remain bit-identical to the misses that filled them).
-  unsigned estimator_cache_quant_bits = 0;
 };
 
 /// Output of the abduction step.
@@ -78,18 +72,11 @@ struct VeritasResult {
   double log_likelihood = 0.0;                 ///< log P(observations)
 };
 
-/// Engine construction knobs (the config covers the model itself).
-struct EngineOptions {
-  /// Overrides VeritasConfig::precomputed_powers when non-zero; 0 (the
-  /// default) defers to the config.
-  std::size_t precomputed_powers = 0;
-};
-
 class InferenceEngine {
  public:
   /// Builds the immutable model. Validates the config (same contract as
   /// the Veritas facade).
-  explicit InferenceEngine(VeritasConfig config, EngineOptions options = {});
+  explicit InferenceEngine(VeritasConfig config);
 
   const VeritasConfig& config() const noexcept { return config_; }
   const Ehmm& ehmm() const noexcept { return ehmm_; }

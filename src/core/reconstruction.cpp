@@ -15,6 +15,10 @@ trace::BandwidthTrace states_to_trace(
   VERITAS_EXPECTS(states.size() == observations.size());
   VERITAS_EXPECTS(delta_s > 0.0);
   VERITAS_EXPECTS(total_duration_s > 0.0);
+  // Refused before the per-window allocation (and before the size_t
+  // cast, which a huge quotient would overflow).
+  VERITAS_EXPECTS(total_duration_s / delta_s <=
+                  static_cast<double>(kMaxSessionWindows));
 
   const auto total_windows = std::max<std::size_t>(
       static_cast<std::size_t>(std::ceil(total_duration_s / delta_s)), 1);

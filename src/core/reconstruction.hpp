@@ -23,7 +23,8 @@ enum class Interpolation {
 
 /// Builds a δ-grid bandwidth trace covering [0, total_duration_s) from
 /// per-chunk state indices. When several chunks start in one window the
-/// last one wins. Requires states.size() == observations.size() >= 1.
+/// last one wins. Requires states.size() == observations.size() >= 1 and
+/// total_duration_s / delta_s <= kMaxSessionWindows.
 trace::BandwidthTrace states_to_trace(
     const StateSpace& space, std::span<const std::size_t> states,
     std::span<const ChunkObservation> observations, double delta_s,

@@ -28,7 +28,7 @@ BruteForce brute_force(const Ehmm& ehmm,
                        const std::vector<ChunkObservation>& obs) {
   const std::size_t n = obs.size();
   const std::size_t k = ehmm.space().size();
-  const math::Matrix log_e = ehmm.emission_log_probs(obs);
+  const math::Matrix log_e = testing::log_emission_matrix(ehmm, obs);
   const auto deltas = ehmm.window_deltas(obs);
   const auto initial = ehmm.transition().initial();
 
@@ -107,7 +107,7 @@ TEST(Ehmm, WindowOfUsesDelta) {
 TEST(Ehmm, EmissionMatrixShape) {
   const Ehmm ehmm = small_ehmm();
   const auto obs = small_sequence();
-  const math::Matrix logs = ehmm.emission_log_probs(obs);
+  const math::Matrix logs = testing::log_emission_matrix(ehmm, obs);
   EXPECT_EQ(logs.rows(), obs.size());
   EXPECT_EQ(logs.cols(), ehmm.space().size());
   for (std::size_t n = 0; n < logs.rows(); ++n) {

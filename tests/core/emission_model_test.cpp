@@ -110,7 +110,7 @@ TEST(EmissionModel, RejectsNonPositiveSigma) {
 
 TEST(EmissionModel, MultiWindowSharesEstimatorF) {
   // The per-observation mean is identical; the span-averaging happens in
-  // Ehmm::emission_log_probs, not here.
+  // Ehmm's emission phase, not here.
   const EmissionModel single(0.5);
   const EmissionModel multi(0.5, net::TcpConfig{},
                             EmissionModel::Estimator::kMultiWindow);
@@ -133,8 +133,8 @@ TEST(EmissionModel, MultiWindowEmissionMatchesSingleForShortDownloads) {
   // Warm observation: 2 MB at 4 Mbps takes ~4 s < 5 s... use a smaller
   // chunk so the estimated span is well under one window.
   const std::vector<ChunkObservation> obs{warm_observation(0.0, 2.0, 2e5)};
-  const math::Matrix a = single.emission_log_probs(obs);
-  const math::Matrix b = multi.emission_log_probs(obs);
+  const math::Matrix a = testing::log_emission_matrix(single, obs);
+  const math::Matrix b = testing::log_emission_matrix(multi, obs);
   EXPECT_LT(a.max_abs_diff(b), 1e-9);
 }
 
@@ -155,8 +155,8 @@ TEST(EmissionModel, MultiWindowActivatesForLongDownloads) {
   const std::vector<ChunkObservation> obs{
       testing::warm_observation(0.0, 2.8, 8e6)};
   const std::size_t top = space.size() - 1;
-  EXPECT_GT(std::abs(multi.emission_log_probs(obs)(0, top) -
-                     single.emission_log_probs(obs)(0, top)),
+  EXPECT_GT(std::abs(testing::log_emission_matrix(multi, obs)(0, top) -
+                     testing::log_emission_matrix(single, obs)(0, top)),
             1e-6);
 }
 

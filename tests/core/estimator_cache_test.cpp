@@ -1,8 +1,7 @@
 // The cross-session (W, S) estimator cache (PR 5 tentpole): memo
 // hit-vs-miss bit-identity, candidate-table (config/epoch) invalidation,
-// quantized keying, capacity flushes, and the engine / Baum-Welch
-// plumbing that shares one cache across sessions, lanes and EM
-// iterations.
+// capacity flushes, and the engine / Baum-Welch plumbing that shares one
+// cache across sessions, lanes and EM iterations.
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -30,6 +29,35 @@ std::vector<ChunkObservation> session_obs(std::uint64_t seed,
       core::testing::deployed_log(gtbw, chunks));
 }
 
+/// The session's emission-mean rows served through `cache`, copied into
+/// a dense N x K matrix; `plain` (when non-null) receives the un-averaged
+/// rows the σ re-estimate reads. Each call starts a fresh L1, so every
+/// row is either an L1 hit (counted into `l1_hits`) or a probe of
+/// `cache`.
+math::Matrix mean_matrix(const Ehmm& ehmm,
+                         const std::vector<ChunkObservation>& obs,
+                         EstimatorCache& cache, math::Matrix* plain = nullptr,
+                         std::uint64_t* l1_hits = nullptr) {
+  EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const EstimatorCache::Entry>> refs;
+  ehmm.emission_mean_rows_into(obs, cache, l1, rows, refs);
+  const std::size_t k = ehmm.space().size();
+  math::Matrix means(obs.size(), k, 0.0);
+  if (plain != nullptr) *plain = math::Matrix(obs.size(), k, 0.0);
+  for (std::size_t n = 0; n < obs.size(); ++n) {
+    EXPECT_EQ(rows[n], refs[n]->mean.data()) << "n=" << n;
+    const std::vector<double>& plain_row =
+        refs[n]->plain.empty() ? refs[n]->mean : refs[n]->plain;
+    for (std::size_t i = 0; i < k; ++i) {
+      means(n, i) = rows[n][i];
+      if (plain != nullptr) (*plain)(n, i) = plain_row[i];
+    }
+  }
+  if (l1_hits != nullptr) *l1_hits = l1.hits();
+  return means;
+}
+
 void expect_matrix_eq(const math::Matrix& a, const math::Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -45,16 +73,17 @@ TEST(EstimatorCache, HitIsBitIdenticalToMiss) {
   const auto obs = session_obs(7);
 
   EstimatorCache cache;
-  math::Matrix cold, warm;
-  ehmm.emission_means_into(obs, cold, cache);
+  const math::Matrix cold = mean_matrix(ehmm, obs, cache);
   const EstimatorCache::Stats after_cold = cache.stats();
   EXPECT_GT(after_cold.insertions, 0u);
 
-  ehmm.emission_means_into(obs, warm, cache);
+  std::uint64_t l1_hits = 0;
+  const math::Matrix warm = mean_matrix(ehmm, obs, cache, nullptr, &l1_hits);
   const EstimatorCache::Stats after_warm = cache.stats();
-  // Every tuple of the second pass hits (the session repeats tuples too,
-  // so hits exceed insertions overall).
-  EXPECT_EQ(after_warm.hits - after_cold.hits, obs.size());
+  // Every row of the second pass that its fresh L1 did not serve hits
+  // the shared memo; nothing misses, nothing is inserted.
+  EXPECT_EQ(after_warm.hits - after_cold.hits + l1_hits, obs.size());
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
   EXPECT_EQ(after_warm.insertions, after_cold.insertions);
   expect_matrix_eq(cold, warm);
 }
@@ -77,20 +106,14 @@ TEST(EstimatorCache, SharedCacheIsolatesModelsByTableId) {
   EXPECT_NE(cubic.emission_table_id(), wide.emission_table_id());
 
   auto shared = std::make_shared<EstimatorCache>();
-  math::Matrix reference, through_shared;
-  for (const Ehmm* model : {&cubic, &bbr, &wide}) {
-    EstimatorCache isolated;
-    model->emission_means_into(obs, reference, isolated);
-    model->emission_means_into(obs, through_shared, *shared);
-    expect_matrix_eq(reference, through_shared);
-  }
-  // And again, now that the shared cache is fully warm with all three
-  // models' rows interleaved.
-  for (const Ehmm* model : {&cubic, &bbr, &wide}) {
-    EstimatorCache isolated;
-    model->emission_means_into(obs, reference, isolated);
-    model->emission_means_into(obs, through_shared, *shared);
-    expect_matrix_eq(reference, through_shared);
+  // Twice: the second round runs with the shared cache fully warm with
+  // all three models' rows interleaved.
+  for (int round = 0; round < 2; ++round) {
+    for (const Ehmm* model : {&cubic, &bbr, &wide}) {
+      EstimatorCache isolated;
+      expect_matrix_eq(mean_matrix(*model, obs, isolated),
+                       mean_matrix(*model, obs, *shared));
+    }
   }
 }
 
@@ -111,9 +134,9 @@ TEST(EstimatorCache, MultiWindowPlainMeansSurviveTheCache) {
   }
 
   EstimatorCache cache;
-  math::Matrix means_cold, plain_cold, means_warm, plain_warm;
-  multi.emission_means_into(obs, means_cold, cache, &plain_cold);
-  multi.emission_means_into(obs, means_warm, cache, &plain_warm);
+  math::Matrix plain_cold, plain_warm;
+  const math::Matrix means_cold = mean_matrix(multi, obs, cache, &plain_cold);
+  const math::Matrix means_warm = mean_matrix(multi, obs, cache, &plain_warm);
   expect_matrix_eq(means_cold, means_warm);
   expect_matrix_eq(plain_cold, plain_warm);
 
@@ -131,41 +154,6 @@ TEST(EstimatorCache, MultiWindowPlainMeansSurviveTheCache) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(EstimatorCache, QuantizationCollapsesNearbyStates) {
-  EstimatorCache::Config config;
-  config.quantize_mantissa_bits = 12;
-  EstimatorCache cache(config);
-  EXPECT_TRUE(cache.quantizes());
-  // Truncation keeps sign and rough magnitude, is idempotent, and
-  // preserves non-finite / zero values.
-  const double q = cache.quantize(123.456789);
-  EXPECT_NEAR(q, 123.456789, 123.456789 * 1e-3);
-  EXPECT_EQ(cache.quantize(q), q);
-  EXPECT_EQ(cache.quantize(0.0), 0.0);
-
-  const Ehmm ehmm = core::testing::small_ehmm();
-  auto obs = session_obs(17, 20);
-  math::Matrix first;
-  ehmm.emission_means_into(obs, first, cache);
-  const EstimatorCache::Stats cold = cache.stats();
-
-  // Perturb every TCP field at a relative 1e-9 — far below the 12-bit
-  // grid: the perturbed session maps onto the same entries (all hits)
-  // and reproduces the identical matrix.
-  auto perturbed = obs;
-  for (ChunkObservation& o : perturbed) {
-    o.tcp.cwnd_segments *= 1.0 + 1e-9;
-    o.tcp.min_rtt_s *= 1.0 - 1e-9;
-    o.size_bytes *= 1.0 + 1e-9;
-  }
-  math::Matrix second;
-  ehmm.emission_means_into(perturbed, second, cache);
-  const EstimatorCache::Stats warm = cache.stats();
-  EXPECT_EQ(warm.insertions, cold.insertions);
-  EXPECT_EQ(warm.hits - cold.hits, perturbed.size());
-  expect_matrix_eq(first, second);
-}
-
 TEST(EstimatorCache, CapacityFlushKeepsResultsCorrect) {
   EstimatorCache::Config config;
   config.capacity = 8;
@@ -174,11 +162,8 @@ TEST(EstimatorCache, CapacityFlushKeepsResultsCorrect) {
   const Ehmm ehmm = core::testing::small_ehmm();
   const auto obs = session_obs(19, 60);
 
-  math::Matrix bounded, reference;
-  ehmm.emission_means_into(obs, bounded, tiny);
   EstimatorCache big;
-  ehmm.emission_means_into(obs, reference, big);
-  expect_matrix_eq(bounded, reference);
+  expect_matrix_eq(mean_matrix(ehmm, obs, tiny), mean_matrix(ehmm, obs, big));
   const EstimatorCache::Stats stats = tiny.stats();
   EXPECT_LE(stats.entries, 8u);
   EXPECT_GT(stats.flushes, 0u);
@@ -224,25 +209,29 @@ TEST(EstimatorCache, EngineSharesOneCacheAcrossSessionsAndScratches) {
 TEST(EstimatorCache, DisabledEngineDetachesAPreviousEnginesCache) {
   // A worker-lane scratch hops between shards: after serving an engine
   // with a cache, a cache-disabled engine must not silently keep
-  // computing through it (lane-history-dependent results, foreign
-  // budget consumption). The attach is unconditional — null detaches.
+  // computing through it (foreign budget consumption, a removed shard's
+  // memory kept pinned). The attach is unconditional — null detaches.
   const auto gtbw =
       trace::make_traces(trace::TraceFamily::kFccLike, 1, 29)[0];
   const sim::SessionLog log = core::testing::deployed_log(gtbw, 30);
 
-  core::VeritasConfig quantized;
-  quantized.estimator_cache_quant_bits = 4;  // visibly lossy cache
+  core::VeritasConfig cached;
   core::VeritasConfig off;
   off.estimator_cache_bytes = 0;
-  const core::InferenceEngine first(quantized);
+  const core::InferenceEngine first(cached);
   const core::InferenceEngine second(off);
 
   Ehmm::Scratch lane;
   (void)first.infer(log, lane);
   ASSERT_EQ(lane.estimator_cache.get(), first.estimator_cache().get());
+  const EstimatorCache::Stats before = first.estimator_cache()->stats();
 
   const core::VeritasResult through_lane = second.infer(log, lane);
   EXPECT_NE(lane.estimator_cache.get(), first.estimator_cache().get());
+  // The first engine's cache saw none of the second engine's probes.
+  const EstimatorCache::Stats after = first.estimator_cache()->stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
 
   Ehmm::Scratch fresh;
   const core::VeritasResult reference = second.infer(log, fresh);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/test_helpers.hpp"
@@ -158,20 +160,60 @@ TEST(InferenceEngine, BatchOfEmptySetIsEmpty) {
 }
 
 TEST(InferenceEngine, SmallPowerTableFallsBackBitExactly) {
-  // Deltas beyond the dense table go through the mutex-guarded memo and
-  // the strided/log-on-the-fly recursion loops; results must not change.
+  // Deltas beyond the dense table come from the transition memo and run
+  // the same kernels through scratch-built layouts; results must not
+  // change.
   const sim::SessionLog log = shared_log();
-  VeritasConfig cfg;
-  EngineOptions tiny;
+  VeritasConfig tiny;
   tiny.precomputed_powers = 1;  // only A^0 and A^1 are dense
-  const InferenceEngine small(cfg, tiny);
-  const InferenceEngine big(cfg);
+  const InferenceEngine small(tiny);
+  const InferenceEngine big(VeritasConfig{});
+  // The config value is honored verbatim (full-TCP estimator).
+  EXPECT_EQ(small.ehmm().transition().precomputed_powers(), 2u);
   const auto observations = observations_from_log(log);
 
   const auto pass_small = small.infer_session(observations);
   const auto pass_big = big.infer_session(observations);
   expect_bit_identical(pass_small.viterbi, pass_big.viterbi);
   expect_bit_identical(pass_small.forward_backward, pass_big.forward_backward);
+}
+
+/// The first three chunks of shared_log(), the last one moved to
+/// [start_s, end_s).
+sim::SessionLog three_chunk_log(double start_s, double end_s) {
+  sim::SessionLog log = shared_log().prefix(3);
+  log.chunks[2].start_s = start_s;
+  log.chunks[2].end_s = end_s;
+  return log;
+}
+
+TEST(InferenceEngine, RefusesSessionSpansPastTheWindowBound) {
+  // A reconstructed trace holds one double per δ-window, so a log whose
+  // last chunk sat at 1e9 s asked for 1.6 GB per trace (and 1e20 s
+  // overflowed the window index cast). Such logs are refused by the
+  // window bound before anything is sized by their span: a chunk that
+  // starts past it (window_of) and one that only ends past it
+  // (states_to_trace).
+  const InferenceEngine engine{VeritasConfig{}};
+  for (const auto& [start, end] :
+       {std::pair{1e9, 1e9 + 4.0}, std::pair{5e10, 5e10 + 4.0},
+        std::pair{1e20, 2e20}, std::pair{100.0, 1e9}}) {
+    try {
+      (void)engine.infer(three_chunk_log(start, end));
+      ADD_FAILURE() << "served a chunk at [" << start << ", " << end << ")";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxSessionWindows"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A long gap inside the bound is still served.
+  const double half_span_s =
+      0.5 * double(kMaxSessionWindows) * engine.config().delta_s;
+  const VeritasResult served =
+      engine.infer(three_chunk_log(half_span_s, half_span_s + 4.0));
+  EXPECT_GT(served.map_trace.windows(), kMaxSessionWindows / 2);
+  EXPECT_LE(served.map_trace.windows(), kMaxSessionWindows);
 }
 
 TEST(InferenceEngine, RejectsInvalidConfig) {

@@ -625,18 +625,4 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
   }
 }
 
-// EngineOptions still overrides the config when explicitly non-zero.
-TEST(PrecomputedPowerWindow, EngineOptionsOverrideConfig) {
-  core::VeritasConfig cfg;
-  cfg.precomputed_powers = 2;
-  core::EngineOptions options;
-  options.precomputed_powers = 16;
-  const core::InferenceEngine engine(cfg, options);
-  EXPECT_GE(engine.ehmm().transition().precomputed_powers(), 16u);
-  const core::InferenceEngine config_engine(cfg);
-  // Config value honored (multi-window floors at kMaxSpanWindows only
-  // for that estimator; full-TCP takes the config verbatim).
-  EXPECT_EQ(config_engine.ehmm().transition().precomputed_powers(), 3u);
-}
-
 }  // namespace

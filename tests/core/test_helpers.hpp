@@ -2,6 +2,8 @@
 // with controlled timing, plus small hand-checkable model builders.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/ehmm.hpp"
@@ -41,6 +43,21 @@ inline Ehmm small_ehmm(double sigma = 0.5, double stay = 0.8) {
   EmissionModel emission(sigma);
   return Ehmm(std::move(space), std::move(transition), std::move(emission),
               5.0);
+}
+
+/// The N x K emission log-probability matrix of `obs` under `ehmm`,
+/// (n, i) -> log P(Y_n | W_sn, S_n, C = value(i)), computed through the
+/// production row path with a private estimator cache.
+inline math::Matrix log_emission_matrix(const Ehmm& ehmm,
+                                        std::span<const ChunkObservation> obs) {
+  EstimatorCache cache;
+  EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  std::vector<std::shared_ptr<const EstimatorCache::Entry>> refs;
+  ehmm.emission_mean_rows_into(obs, cache, l1, rows, refs);
+  math::Matrix logs;
+  ehmm.emission_log_probs_from_rows_into(obs, rows, logs);
+  return logs;
 }
 
 /// Row-stochastic tridiagonal A over k >= 2 states whose column `zero`

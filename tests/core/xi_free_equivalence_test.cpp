@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -209,27 +210,48 @@ std::vector<std::vector<ChunkObservation>> training_sessions() {
   return sessions;
 }
 
+Ehmm multi_window_ehmm(double stay) {
+  StateSpace space(1.0, 3.0);
+  TransitionModel transition =
+      TransitionModel::tridiagonal(space.size(), stay);
+  EmissionModel emission(0.5, net::TcpConfig{},
+                         EmissionModel::Estimator::kMultiWindow);
+  return Ehmm(std::move(space), std::move(transition), std::move(emission),
+              5.0);
+}
+
 TEST(XiFree, BaumWelchMatchesXiReferenceAtOneAndFourThreads) {
   const auto sessions = training_sessions();
-  const Ehmm init = small_ehmm(0.5, 0.6);
-  for (const bool update_sigma : {false, true}) {
+  const Ehmm full_tcp = small_ehmm(0.5, 0.6);
+  // kMultiWindow with σ re-estimated from the pinned entries' plain
+  // rows: with update_transition off the rows stay pinned across EM
+  // iterations, with it on they are refilled under each iteration's
+  // span table.
+  const Ehmm multi_window = multi_window_ehmm(0.6);
+  struct Case {
+    const char* label;
+    const Ehmm* init;
+    bool update_sigma;
+    bool update_transition;
+  };
+  for (const Case& c : {Case{"full-tcp", &full_tcp, false, true},
+                        Case{"full-tcp sigma", &full_tcp, true, true},
+                        Case{"multi-window sigma pinned", &multi_window,
+                             true, false},
+                        Case{"multi-window sigma refilled", &multi_window,
+                             true, true}}) {
     BaumWelchConfig cfg;
     cfg.max_iterations = 4;
     cfg.tolerance = 0.0;  // run every iteration
-    cfg.update_sigma = update_sigma;
-    const BaumWelchResult want = reference_train(init, sessions, cfg);
+    cfg.update_sigma = c.update_sigma;
+    cfg.update_transition = c.update_transition;
+    const BaumWelchResult want = reference_train(*c.init, sessions, cfg);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       cfg.num_threads = threads;
-      const BaumWelchResult got = baum_welch_train(init, sessions, cfg);
-      expect_bit_identical(got, want,
-                           "threads=" + std::to_string(threads) +
-                               " sigma=" + std::to_string(update_sigma));
-      // The emission-mean cache ablation must not change results either.
-      cfg.reuse_emission_means = false;
-      const BaumWelchResult uncached = baum_welch_train(init, sessions, cfg);
-      cfg.reuse_emission_means = true;
-      expect_bit_identical(uncached, want,
-                           "uncached threads=" + std::to_string(threads));
+      const BaumWelchResult got = baum_welch_train(*c.init, sessions, cfg);
+      expect_bit_identical(
+          got, want, std::string(c.label) + " threads=" +
+                         std::to_string(threads));
     }
   }
 }
@@ -238,12 +260,7 @@ TEST(XiFree, BaumWelchThreadCountInvariantUnderMultiWindow) {
   // kMultiWindow couples the emission means to A, exercising the
   // recompute-every-iteration path; thread counts must still agree.
   const auto sessions = training_sessions();
-  StateSpace space(1.0, 3.0);
-  TransitionModel transition = TransitionModel::tridiagonal(space.size(), 0.7);
-  EmissionModel emission(0.5, net::TcpConfig{},
-                         EmissionModel::Estimator::kMultiWindow);
-  const Ehmm init(std::move(space), std::move(transition),
-                  std::move(emission), 5.0);
+  const Ehmm init = multi_window_ehmm(0.7);
   BaumWelchConfig cfg;
   cfg.max_iterations = 3;
   cfg.tolerance = 0.0;

@@ -189,6 +189,45 @@ TEST(VeritasService, InfiniteWindowLogResolvesNonOkWithinABound) {
   EXPECT_TRUE(stats.reconciled());
 }
 
+TEST(VeritasService, SpanPastTheWindowBoundResolvesNonOk) {
+  // A log whose chunk starts, or only ends, at 1e9 s would need a
+  // reconstructed trace of 2e8 windows (1.6 GB) per sample. Its future
+  // resolves non-OK from the window-bound refusal — not from a failed
+  // allocation — and the lane keeps serving.
+  ServiceOptions options;
+  options.num_threads = 1;
+  VeritasService service(options);
+  service.add_shard("main", config_a());
+  const std::vector<sim::SessionLog> logs = make_logs(3);
+  for (const bool start_too : {true, false}) {
+    Query bad;
+    bad.log = logs[start_too ? 0 : 1];
+    sim::ChunkLog& last = bad.log.chunks.back();
+    if (start_too) last.start_s = 1e9;
+    last.end_s = 1e9 + 4.0;
+    bad.shard = "main";
+    auto refused = service.submit(std::move(bad));
+    ASSERT_EQ(refused.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    const Expected<InferenceResult> result = refused.get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find("kMaxSessionWindows"),
+              std::string::npos)
+        << result.status().message();
+  }
+
+  Query good;
+  good.log = logs[2];
+  good.shard = "main";
+  auto served = service.submit(std::move(good));
+  ASSERT_EQ(served.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(served.get().ok());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_TRUE(stats.reconciled());
+}
+
 TEST(VeritasService, CacheHitAndMissCounters) {
   ServiceOptions options;
   options.num_threads = 2;

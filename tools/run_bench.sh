@@ -4,7 +4,7 @@
 # (bench_micro_core), the batch/phase bench (bench_batch_infer,
 # wall-time per phase and sessions/sec at 1/2/4/N threads), the
 # Baum-Welch training bench (bench_train, EM wall-time across thread
-# counts and the memoized-emission ablation) and the service bench
+# counts) and the service bench
 # (bench_service, mixed-shard async throughput/latency, cold vs warm
 # result cache).
 #
@@ -17,8 +17,9 @@
 # name as its label, and every bench JSON records a "kernels" field. The
 # PR 5 estimator benches additionally split on /warm:0|1 (cross-session
 # (W, S) estimator cache cold vs warm); the headline pair is
-# BM_FbWithEstimatorPr4BaselineK17 vs BM_FbWithEstimatorK17/simd:1/warm:1
-# (forward-backward with the estimator included, k = 17). PR 7 adds
+# BM_FbWithEstimatorK17/simd:1/warm:0 vs /warm:1 (forward-backward with
+# the estimator included, k = 17); past revisions are compared by
+# building them, not by replays kept inside the binary. Later additions:
 # BM_EstimatorBatchCaHeavyK17 (congestion-avoidance-dominated batch, the
 # vectorized CA jump) and the /simd:2 column everywhere. PR 8 adds
 # BM_TraceSpanDisabled / BM_TraceSpanEnabled (the observability tax of a
