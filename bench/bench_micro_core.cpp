@@ -3,11 +3,11 @@
 // TCP simulator and the estimator f, plus a full end-to-end infer().
 //
 // Benchmarks that exercise the EHMM kernels take a `simd` argument:
-// /simd:0 forces the scalar reference table, /simd:1 the default
-// bit-exact vector table, /simd:2 the opt-in AVX-512/FMA tier (each
-// skipped when the binary or CPU lacks that table), so one run records
-// the full kernel-tier trajectory side by side (tools/run_bench.sh →
-// BENCH_7.json). Every guarded benchmark labels itself with the
+// /simd:0 forces the scalar reference table, /simd:1 the AVX2/SSE2/NEON
+// vector table, /simd:2 the AVX-512 table (each skipped when the binary
+// or CPU lacks that table), so one run records every kernel table side
+// by side (tools/run_bench.sh). All three compute the same bits; the
+// default dispatch runs the widest one the CPU supports. Every guarded benchmark labels itself with the
 // *resolved* tier name so the JSON never reports a stale dispatch mode.
 #include <benchmark/benchmark.h>
 
@@ -39,9 +39,9 @@ const sim::SessionLog& shared_log() {
   return log;
 }
 
-/// Applies the benchmark's simd argument to the kernel dispatcher:
-/// 0 = scalar reference, 1 = default bit-exact vector table, 2 = opt-in
-/// AVX-512/FMA tier. Returns false (after flagging a skip) when the
+/// Pins the benchmark's simd argument in the kernel dispatcher:
+/// 0 = scalar reference, 1 = AVX2/SSE2/NEON table, 2 = AVX-512 table.
+/// Returns false (after flagging a skip) when the
 /// requested table is absent, and labels the benchmark with the
 /// *resolved* tier name (sk::backend_name()) so recorded runs identify
 /// the kernels that actually executed.
@@ -572,16 +572,12 @@ BENCHMARK(BM_TraceSpanEnabled);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the run context records the
-// *resolved* kernel tiers (what active_ops() dispatches to by default,
-// and whether the opt-in AVX-512 table resolved on this host), so a
+// table active_ops() dispatches to by default on this host, so a
 // recorded BENCH_*.json identifies the kernels that actually ran.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("kernels_default", sk::backend_name());
-  benchmark::AddCustomContext(
-      "kernels_avx512",
-      sk::avx512_ops() != nullptr ? sk::avx512_ops()->name : "unavailable");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

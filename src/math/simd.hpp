@@ -14,15 +14,11 @@
 // be an ODR violation). Do not take their address across TU boundaries;
 // export a table of wrapper functions instead (see math/simd_kernels.*).
 //
-// Arithmetic lane ops (vadd/vsub/vmul/vdiv/vmax) are IEEE-754 exact per
-// lane — a vectorized loop that preserves the scalar per-element
-// operation order is bit-identical to the scalar loop. The one deliberate
-// exception is vmuladd(a, b, c) = a*b + c: on every backend except
-// AVX-512 it is the exact two-rounding mul-then-add (so AVX2/SSE2/NEON
-// kernels stay bit-identical to scalar), while the AVX-512 backend emits
-// a fused multiply-add with a single rounding — which is why the AVX-512
-// kernel tier is opt-in and tolerance-gated rather than bit-exact (see
-// math/simd_kernels.hpp). The transcendental approximations vexp/vlog
+// Arithmetic lane ops (vadd/vsub/vmul/vdiv/vmax, and vmuladd = a*b + c
+// as the exact two-rounding mul-then-add on every backend) are IEEE-754
+// exact per lane — a vectorized loop that preserves the scalar
+// per-element operation order is bit-identical to the scalar loop, at
+// any lane width. The transcendental approximations vexp/vlog
 // are Cephes-style rational polynomials accurate to a couple of ulp;
 // they are property-tested against libm in tests/math/simd_test.cpp and
 // their consumers are covered by the SIMD/scalar equivalence suites.
@@ -125,12 +121,6 @@ static inline VecD vfrexp(VecD x, VecD* e) {
       _mm512_castpd_si512(_mm512_set1_pd(0.5)));
   return _mm512_castsi512_pd(mant);
 }
-/// a*b + c with a single rounding — the only lane op that is not
-/// bit-identical to the scalar two-rounding expression (see the header
-/// comment; every other backend computes the exact mul-then-add).
-static inline VecD vmuladd(VecD a, VecD b, VecD c) {
-  return _mm512_fmadd_pd(a, b, c);
-}
 static inline VecD vfloor(VecD x) {
   return _mm512_roundscale_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
 }
@@ -138,17 +128,6 @@ static inline VecD vceil(VecD x) {
   return _mm512_roundscale_pd(x, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
 }
 static inline VecD vsqrt(VecD x) { return _mm512_sqrt_pd(x); }
-/// Masked load of the first n lanes (n in [1, kLanes]); the rest read 0.
-/// Never touches memory past p[n-1].
-static inline VecD vloadn(const double* p, std::size_t n) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  return _mm512_maskz_loadu_pd(m, p);
-}
-/// Masked store of the first n lanes; memory past p[n-1] is untouched.
-static inline void vstoren(double* p, VecD v, std::size_t n) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  _mm512_mask_storeu_pd(p, m, v);
-}
 
 // ----------------------------------------------------------------- AVX2
 #elif !defined(VERITAS_SIMD_FORCE_SCALAR) && defined(__AVX2__)
@@ -440,31 +419,14 @@ static inline VecD vsqrt(VecD x) { return std::sqrt(x); }
 
 // ----------------------------------------------- backend-generic pieces
 
-#ifndef VERITAS_SIMD_BACKEND_AVX512
-/// a*b + c as the exact two-rounding mul-then-add: on every backend but
-/// AVX-512 this is literally vadd(vmul(a, b), c) — intrinsic mul/add
-/// pairs are never contracted by the compiler, and the kernel TUs pin
-/// -ffp-contract=off for their scalar tails — so kernels written with
-/// vmuladd stay bit-identical to the scalar reference here. The AVX-512
-/// backend (above) overrides this with a true fused multiply-add.
+/// a*b + c as the exact two-rounding mul-then-add, literally
+/// vadd(vmul(a, b), c): intrinsic mul/add pairs are never contracted by
+/// the compiler, and the kernel TUs pin -ffp-contract=off for their
+/// scalar tails, so kernels written with vmuladd stay bit-identical to
+/// the scalar reference on every backend.
 static inline VecD vmuladd(VecD a, VecD b, VecD c) {
   return vadd(vmul(a, b), c);
 }
-/// Partial-lane load/store for row tails that are not a multiple of the
-/// lane width (only reachable when kLanes exceeds math::kRowPadDoubles,
-/// i.e. on AVX-512, which uses native masked moves instead). Lanes past
-/// n read 0 / are not written; memory past p[n-1] is never touched.
-static inline VecD vloadn(const double* p, std::size_t n) {
-  double buf[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) buf[i] = i < n ? p[i] : 0.0;
-  return vload(buf);
-}
-static inline void vstoren(double* p, VecD v, std::size_t n) {
-  double buf[kLanes];
-  vstore(buf, v);
-  for (std::size_t i = 0; i < n; ++i) p[i] = buf[i];
-}
-#endif
 
 // ------------------------------------------------------- transcendentals
 
@@ -483,10 +445,7 @@ static inline VecD vexp(VecD x) {
   r = vsub(r, vmul(n, c2));
   const VecD rr = vmul(r, r);
 
-  // polevl(rr, P) and polevl(rr, Q) from Cephes exp.c. (vmuladd keeps
-  // the two-rounding order everywhere except AVX-512, where the fused
-  // form shifts the approximation by sub-ulp amounts — still inside the
-  // suite's exp tolerance.)
+  // polevl(rr, P) and polevl(rr, Q) from Cephes exp.c.
   VecD p = vset1(1.26177193074810590878e-4);
   p = vmuladd(p, rr, vset1(3.02994407707441961300e-2));
   p = vmuladd(p, rr, vset1(9.99999999999999999910e-1));

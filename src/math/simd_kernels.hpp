@@ -8,36 +8,31 @@
 //     implementations: per-element operation order is preserved exactly.
 //   * simd_ops()  — vectorized over the *state* (output) dimension with
 //     the lane layer in math/simd.hpp, compiled in
-//     math/simd_kernels_simd.cpp with the best *bit-exact* ISA the
-//     compiler supports (-mavx2 on x86 when available, NEON on AArch64).
-//     nullptr when the build disabled SIMD (-DVERITAS_SIMD=OFF) or the
-//     running CPU lacks the compiled ISA (checked once via cpuid).
+//     math/simd_kernels_simd.cpp with -mavx2 on x86 when available
+//     (NEON on AArch64, SSE2 otherwise).
 //   * avx512_ops() — the same shared kernel body compiled with
-//     -mavx512f -mavx512dq in math/simd_kernels_avx512.cpp: 8 lanes and
-//     a true fused multiply-add in the forward/backward/pair
-//     accumulations and the vexp/vlog polynomials. FMA's single
-//     rounding breaks the bit-identity contract below, so this tier is
-//     strictly OPT-IN (VERITAS_SIMD=avx512 or Mode::kForceAvx512 —
-//     never selected by plain kAuto) and is gated by the
-//     kernel-equivalence suite's explicit tolerances (posteriors within
-//     1e-12 of scalar) rather than bitwise equality. Viterbi, the
-//     emission log-pdf row, and estimate_batch avoid FMA and stay
-//     bit-identical even on this tier. nullptr when the toolchain lacks
-//     the flags, the build disabled SIMD, or the CPU lacks AVX-512F+DQ.
+//     -mavx512f -mavx512dq in math/simd_kernels_avx512.cpp: 8 lanes,
+//     the same exact arithmetic.
 //
-// Because the SIMD recursions vectorize across outputs and broadcast the
-// sequential input, each output's accumulation order matches the scalar
-// loop and the viterbi/forward/backward kernels are bit-identical to
-// scalar_ops() on the default tier. Only exp_rows/log_rows (polynomial
-// approximations, ~2 ulp) and pair_total (lane-reassociated global sum)
-// differ, within the tolerances tested in
-// tests/core/kernel_equivalence_test.cpp.
+// A vector table is nullptr when the build disabled SIMD
+// (-DVERITAS_SIMD=OFF), the toolchain lacks its ISA flags, or the
+// running CPU lacks the ISA (checked once via cpuid).
 //
-// Dispatch: active_ops() resolves simd_ops() when available, unless the
-// process-global mode (set_mode / ScopedMode, used by tests and benches)
-// or the VERITAS_SIMD environment variable ("off" / "scalar" / "0")
-// forces the scalar table, or VERITAS_SIMD=avx512 requests the AVX-512
-// tier (falling back to simd, then scalar, when it is unavailable).
+// Every table honours one contract. The vector kernels vectorize across
+// outputs, broadcast the sequential input and never fuse a mul+add, so
+// each output's accumulation order and rounding match the scalar loop:
+// viterbi/forward/backward steps, emission rows and estimate_batch are
+// bit-identical to scalar_ops() on every table, and exp_rows/log_rows
+// (polynomial approximations, ~2 ulp from libm) are bit-identical
+// across the vector tables. Only pair_total (a lane-reassociated global
+// sum, so its bits depend on the lane width) differs, within the
+// tolerances tested in tests/core/kernel_equivalence_test.cpp.
+//
+// Dispatch is a function of the CPU: active_ops() resolves avx512_ops(),
+// then simd_ops(), then the scalar table. The VERITAS_SIMD environment
+// variable ("off" / "scalar" / "0") vetoes vectorization; the
+// process-global mode (set_mode / ScopedMode) pins one table for tests
+// and benches.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +72,7 @@ inline constexpr std::size_t kSupportBlock = 8;
 /// kSupportBlock runs the block covers). That is
 /// bit-identical to the full loop on every tier: a skipped sum-product
 /// term is x·0 = +0, which leaves a finite non-negative accumulator
-/// unchanged (under FMA too), and a skipped Viterbi candidate is -inf,
+/// unchanged, and a skipped Viterbi candidate is -inf,
 /// which never wins the strict first-max (the vector Viterbi also keeps
 /// its 4-wide j grouping aligned to the full loop's). Null supports mean
 /// the full range [0, k) for every output (set all four or none).
@@ -162,16 +157,16 @@ struct KernelOps {
   /// beta_next[j] into *pair_total in the same sweep (the unscaled
   /// backward dot reused — one stream over A^Δ instead of two). The
   /// scalar table keeps the historical i-major j-minor term order
-  /// (bit-identical to a separate pass); the SIMD table reassociates the
-  /// sum across lanes (ulp-level difference).
+  /// (bit-identical to a separate pass); the vector tables reassociate
+  /// the sum across lanes (ulp-level, lane-width-dependent difference).
   void (*backward_step)(const DeltaTables& a, std::size_t k,
                         const double* em_next, const double* beta_next,
                         double scale, double* beta_n, const double* alpha_n,
                         double* pair_total);
 
   /// Pair-posterior normalizer Σ_{i,j} alpha[i] A^Δ(i,j) em_next[j]
-  /// beta_next[j]. The SIMD table reassociates the global sum across
-  /// lanes (ulp-level difference from scalar).
+  /// beta_next[j]. The vector tables reassociate the global sum across
+  /// lanes (ulp-level, lane-width-dependent difference from scalar).
   double (*pair_total)(const double* alpha_n, const DeltaTables& a,
                        std::size_t k, const double* em_next,
                        const double* beta_next);
@@ -201,9 +196,9 @@ const KernelOps& scalar_ops();
 /// lacks the compiled ISA. Stable for the process lifetime.
 const KernelOps* simd_ops();
 
-/// The opt-in AVX-512/FMA table, or nullptr when the toolchain could not
+/// The 8-lane AVX-512 table, or nullptr when the toolchain could not
 /// compile it, SIMD is compiled out, or the CPU lacks AVX-512F+DQ.
-/// Stable for the process lifetime. Never selected by plain kAuto.
+/// Stable for the process lifetime.
 const KernelOps* avx512_ops();
 
 /// The table the EHMM should use right now (mode / env / CPU resolved).
@@ -214,9 +209,10 @@ const KernelOps& active_ops();
 /// compile switch; serve/bench output records this.
 const char* backend_name();
 
+/// Which table active_ops() returns. kAuto is the only production
+/// setting; the forced values pin one table for tests and benches.
 enum class Mode {
-  kAuto,          ///< simd when available (default; env var may veto or
-                  ///< opt into avx512)
+  kAuto,          ///< widest available table (default; env var may veto)
   kForceScalar,   ///< reference loops regardless of CPU
   kForceSimd,     ///< simd_ops() even if env said off (no-op when null)
   kForceAvx512,   ///< avx512_ops(), falling back to simd then scalar

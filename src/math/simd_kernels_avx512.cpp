@@ -1,22 +1,16 @@
-// Opt-in AVX-512/FMA kernel tier: the same shared kernel body as the
-// default vector TU (math/simd_kernels_body.inc), compiled with
-// -mavx512f -mavx512dq so math/simd.hpp picks the 8-lane AVX-512
-// backend, whose vmuladd is a true fused multiply-add. Consequences:
-//
-//   * forward/backward/pair accumulations and the vexp/vlog polynomials
-//     fuse their mul+add pairs — results differ from the scalar
-//     reference by ulps, which is why this tier is opt-in
-//     (VERITAS_SIMD=avx512 / Mode::kForceAvx512) and tolerance-gated by
-//     tests/core/kernel_equivalence_test.cpp instead of bit-exact.
-//   * the viterbi recursion (max-plus, nothing to fuse), the emission
-//     log-pdf row, and the batched TCP estimator are written without
-//     vmuladd and stay bit-identical to the scalar reference even here.
+// AVX-512 kernel table: the same shared kernel body as the AVX2/SSE2/NEON
+// TU (math/simd_kernels_body.inc), compiled with -mavx512f -mavx512dq so
+// math/simd.hpp picks the 8-lane AVX-512 backend. Its vmuladd is the
+// same exact mul-then-add as every other backend's (and -ffp-contract=off
+// keeps the compiler from fusing one), so the table honours the
+// bit-identity contract of math/simd_kernels.hpp and active_ops()
+// prefers it whenever the CPU has the ISA.
 //
 // When the toolchain lacks the flags (or the build disabled SIMD) the
 // table collapses to nullptr and the dispatcher never offers the tier;
 // a host without the ISA is rejected at run time via cpu_features. Like
-// the default vector TU, this one exposes only constant-initialized
-// data, so linking it is always safe.
+// the AVX2 TU, this one exposes only constant-initialized data, so
+// linking it is always safe.
 #include "math/simd_kernels.hpp"
 
 #if !defined(VERITAS_SIMD_DISABLED) && defined(__AVX512F__) && \

@@ -171,16 +171,6 @@ bool env_forces_scalar() {
          std::strcmp(value, "OFF") == 0 || std::strcmp(value, "scalar") == 0;
 }
 
-// The AVX-512/FMA tier is strictly opt-in: plain kAuto never selects it
-// (its fused multiply-adds break the default dispatch's bit-identity
-// contract), but VERITAS_SIMD=avx512 requests it for the whole process.
-bool env_requests_avx512() {
-  const char* value = std::getenv("VERITAS_SIMD");
-  if (value == nullptr) return false;
-  return std::strcmp(value, "avx512") == 0 ||
-         std::strcmp(value, "AVX512") == 0;
-}
-
 const KernelOps* resolve_table(const KernelOps* table) {
   if (table == nullptr || !cpu_supports(table->cpu_features)) return nullptr;
   return table;
@@ -217,22 +207,18 @@ const KernelOps& active_ops() {
       const KernelOps* simd = simd_ops();
       return simd != nullptr ? *simd : kScalarOps;
     }
-    case Mode::kForceAvx512: {
-      const KernelOps* avx512 = avx512_ops();
-      if (avx512 != nullptr) return *avx512;
-      const KernelOps* simd = simd_ops();
-      return simd != nullptr ? *simd : kScalarOps;
-    }
-    case Mode::kAuto:
+    case Mode::kForceAvx512:
       break;
+    case Mode::kAuto: {
+      static const bool env_scalar = env_forces_scalar();
+      if (env_scalar) return kScalarOps;
+      break;
+    }
   }
-  static const bool env_scalar = env_forces_scalar();
-  if (env_scalar) return kScalarOps;
-  static const bool env_avx512 = env_requests_avx512();
-  if (env_avx512) {
-    const KernelOps* avx512 = avx512_ops();
-    if (avx512 != nullptr) return *avx512;
-  }
+  // Widest first: the tables share one numerical contract (see the
+  // header), so the choice changes speed, not answers.
+  const KernelOps* avx512 = avx512_ops();
+  if (avx512 != nullptr) return *avx512;
   const KernelOps* simd = simd_ops();
   return simd != nullptr ? *simd : kScalarOps;
 }

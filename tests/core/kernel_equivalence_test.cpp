@@ -1,11 +1,15 @@
-// SIMD/scalar kernel equivalence:
+// Kernel-table equivalence. Every vector table (the AVX2/SSE2/NEON one
+// and the AVX-512 one, whichever this build and CPU can run) is held to
+// the same contract:
 //
-//  * raw-kernel level, k ∈ {1, 3, 8, 17, 32}: the viterbi / forward /
-//    backward steps must be *bit-identical* between tables (the SIMD
-//    kernels vectorize across outputs and broadcast the sequential
-//    input, preserving each output's accumulation order); the fused
-//    pair-posterior normalizer and exp rows agree within tight
-//    tolerances. Non-lane-multiple k exercises the padded tail columns.
+//  * raw-kernel level, k ∈ {1, 3, 8, 17, 21, 32, 201} (21 and 201 are
+//    the state counts the fleet and wide-grid workloads serve): the
+//    viterbi / forward / backward steps and the emission log-pdf row
+//    must be *bit-identical* to the scalar reference (the vector kernels
+//    vectorize across outputs, broadcast the sequential input and never
+//    fuse a mul+add); the pair-posterior normalizer and exp rows agree
+//    within tight tolerances. Non-lane-multiple k exercises the padded
+//    tail columns. exp/log rows are bitwise equal across vector tables.
 //  * Ehmm level, k ∈ {3, 8, 17, 32}: identical Viterbi paths, scores
 //    and backpointer-driven decisions, posteriors within 1e-9 (observed
 //    ~1e-13: only the exp approximation and the pair reduction differ),
@@ -17,11 +21,8 @@
 //  * the configurable A^Δ precompute window: a tiny dense table plus
 //    the shared_mutex memo must reproduce the full-table results
 //    bit-for-bit.
-//  * the opt-in AVX-512/FMA tier (PR 7): FMA-free kernels (viterbi,
-//    emission rows, estimate_batch) bit-identical to scalar; fused
-//    recursions and posteriors within the 1e-12 gate; dispatch
-//    resolution (kAuto never picks it, kForceAvx512 falls back when
-//    absent) reported truthfully by backend_name().
+//  * dispatch: kAuto resolves the widest table the CPU runs, and
+//    backend_name() reports the table actually serving the kernels.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -49,6 +50,29 @@ using core::Ehmm;
 
 bool simd_available() { return sk::simd_ops() != nullptr; }
 bool avx512_available() { return sk::avx512_ops() != nullptr; }
+
+/// The vector tables this build and CPU can run, widest last.
+std::vector<const sk::KernelOps*> vector_tables() {
+  std::vector<const sk::KernelOps*> tables;
+  if (simd_available()) tables.push_back(sk::simd_ops());
+  if (avx512_available()) tables.push_back(sk::avx512_ops());
+  return tables;
+}
+
+/// The forced modes that resolve to those tables, in the same order.
+std::vector<sk::Mode> vector_modes() {
+  std::vector<sk::Mode> modes;
+  if (simd_available()) modes.push_back(sk::Mode::kForceSimd);
+  if (avx512_available()) modes.push_back(sk::Mode::kForceAvx512);
+  return modes;
+}
+
+/// Same bits over the first n entries (signed zeros and NaNs included).
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b,
+               std::size_t n) {
+  return std::memcmp(a.data(), b.data(), n * sizeof(T)) == 0;
+}
 
 /// Random row-stochastic transition over k states (k = 1 allowed).
 core::TransitionModel random_transition(std::size_t k, std::uint64_t seed) {
@@ -96,176 +120,129 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
   ASSERT_EQ(tables.stride, stride);
 
   const sk::KernelOps& scalar = sk::scalar_ops();
-  const sk::KernelOps& simd = *sk::simd_ops();
-  std::mt19937_64 rng(900 + k);
-
-  for (int round = 0; round < 25; ++round) {
-    // Log-domain inputs for viterbi (pads -inf), probability-domain for
-    // the sum-product kernels (pads 0).
-    const std::vector<double> prev_log =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> e_n =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
-    const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
-
-    // Viterbi: scores and backpointers bit-identical.
-    std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
-    std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-    scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                        curr_a.data(), back_a.data());
-    simd.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                      curr_b.data(), back_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(curr_a[i], curr_b[i]) << "k=" << k << " i=" << i;
-      EXPECT_EQ(back_a[i], back_b[i]) << "k=" << k << " i=" << i;
-    }
-
-    // Forward: bit-identical.
-    std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
-    scalar.forward_step(prev_prob.data(), tables, k, em.data(),
-                        row_a.data());
-    simd.forward_step(prev_prob.data(), tables, k, em.data(), row_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(row_a[i], row_b[i]) << "k=" << k << " i=" << i;
-    }
-
-    // Backward: beta bit-identical; fused pair total within tolerance
-    // of the scalar (historical-order) accumulation.
-    std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
-    double pair_a = 0.0, pair_b = 0.0;
-    scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                         beta_a.data(), alpha.data(), &pair_a);
-    simd.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                       beta_b.data(), alpha.data(), &pair_b);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(beta_a[i], beta_b[i]) << "k=" << k << " i=" << i;
-    }
-    EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)));
-    // Standalone pair kernel agrees with the fused accumulation.
-    const double pair_c =
-        simd.pair_total(alpha.data(), tables, k, em.data(), beta.data());
-    EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)));
-
-    // exp rows (full padded stride, -inf pads -> exact 0).
-    std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
-    scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
-    simd.exp_rows(e_n.data(), -3.0, stride, em_b.data());
-    for (std::size_t i = 0; i < stride; ++i) {
-      EXPECT_NEAR(em_a[i], em_b[i], 5e-15 * em_a[i] + 0.0)
-          << "k=" << k << " i=" << i;
-    }
-    for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(StateCounts, KernelEquivalence,
-                         ::testing::Values(1, 3, 8, 17, 32));
-
-// The opt-in AVX-512 tier: the FMA-free kernels (viterbi, emission
-// log-pdf row) stay *bit-identical* to the scalar reference; the fused
-// sum-product recursions (forward / backward / pair total) and the
-// transcendental rows agree within the advertised 1e-12 relative gate.
-TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
-  if (!avx512_available()) {
-    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
-  }
-  const std::size_t k = GetParam();
-  const std::size_t stride = math::padded_cols(k);
-  core::TransitionModel model = random_transition(k, 500 + k);
-  model.precompute_powers(4);
-  core::TransitionModel::StepLayouts step;
-  const sk::DeltaTables tables = model.tables(2, Domain::kProbability, step);
-  const sk::DeltaTables log_tables = model.tables(2, Domain::kLog, step);
-
-  const sk::KernelOps& scalar = sk::scalar_ops();
-  const sk::KernelOps& avx = *sk::avx512_ops();
-  std::mt19937_64 rng(1300 + k);
-
+  const double inf = std::numeric_limits<double>::infinity();
   const double sigma = 0.75;
   const double log_sigma = std::log(sigma);
   const double half_log_2pi = 0.5 * std::log(8.0 * std::atan(1.0));
 
-  for (int round = 0; round < 25; ++round) {
-    const std::vector<double> prev_log =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> e_n =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
-    const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> means = padded_row(k, 0.0, rng, 0.0, 12.0);
+  for (const sk::KernelOps* ops : vector_tables()) {
+    const sk::KernelOps& simd = *ops;
+    std::mt19937_64 rng(900 + k);
+    for (int round = 0; round < 25; ++round) {
+      // Log-domain inputs for viterbi (pads -inf), probability-domain for
+      // the sum-product kernels (pads 0).
+      const std::vector<double> prev_log =
+          padded_row(k, -inf, rng, -40.0, 0.0);
+      const std::vector<double> e_n = padded_row(k, -inf, rng, -40.0, 0.0);
+      const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
+      const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
+      const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
+      const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
+      const std::vector<double> means = padded_row(k, 0.0, rng, 0.0, 12.0);
+      const std::string where =
+          std::string(simd.name) + " k=" + std::to_string(k);
 
-    // Viterbi: max-plus has no mul-add to fuse — bit-identical.
-    std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
-    std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-    scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                        curr_a.data(), back_a.data());
-    avx.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                     curr_b.data(), back_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(curr_a[i], curr_b[i]) << "k=" << k << " i=" << i;
-      EXPECT_EQ(back_a[i], back_b[i]) << "k=" << k << " i=" << i;
-    }
+      // Viterbi: scores and backpointers bit-identical.
+      std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
+      std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
+      scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                          curr_a.data(), back_a.data());
+      simd.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                        curr_b.data(), back_b.data());
+      EXPECT_TRUE(same_bits(curr_a, curr_b, k)) << where;
+      EXPECT_TRUE(same_bits(back_a, back_b, k)) << where;
 
-    // Emission log-pdf row: FMA-free — bit-identical (unpadded input
-    // row, the zero-copy cache path's shape).
-    std::vector<double> erow_a(stride, -1.0), erow_b(stride, -1.0);
-    scalar.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                                log_sigma, half_log_2pi, erow_a.data());
-    avx.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                             log_sigma, half_log_2pi, erow_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(erow_a[i], erow_b[i]) << "k=" << k << " i=" << i;
-    }
-    for (std::size_t i = k; i < stride; ++i) {
-      EXPECT_EQ(erow_b[i], -std::numeric_limits<double>::infinity());
-    }
+      // Emission log-pdf row: bit-identical (unpadded input row, the
+      // zero-copy cache path's shape), -inf pads.
+      std::vector<double> erow_a(stride, -1.0), erow_b(stride, -1.0);
+      scalar.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
+                                  log_sigma, half_log_2pi, erow_a.data());
+      simd.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
+                                log_sigma, half_log_2pi, erow_b.data());
+      EXPECT_TRUE(same_bits(erow_a, erow_b, stride)) << where;
+      for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(erow_b[i], -inf);
 
-    // Forward: the fused vmuladd reassociates one rounding per term.
-    std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
-    scalar.forward_step(prev_prob.data(), tables, k, em.data(),
-                        row_a.data());
-    avx.forward_step(prev_prob.data(), tables, k, em.data(), row_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_NEAR(row_a[i], row_b[i],
-                  1e-12 * std::max(1.0, std::abs(row_a[i])))
-          << "k=" << k << " i=" << i;
-    }
+      // Forward: bit-identical.
+      std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
+      scalar.forward_step(prev_prob.data(), tables, k, em.data(),
+                          row_a.data());
+      simd.forward_step(prev_prob.data(), tables, k, em.data(),
+                        row_b.data());
+      EXPECT_TRUE(same_bits(row_a, row_b, k)) << where;
 
-    // Backward + pair total: same gate.
-    std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
-    double pair_a = 0.0, pair_b = 0.0;
-    scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                         beta_a.data(), alpha.data(), &pair_a);
-    avx.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                      beta_b.data(), alpha.data(), &pair_b);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_NEAR(beta_a[i], beta_b[i],
-                  1e-12 * std::max(1.0, std::abs(beta_a[i])))
-          << "k=" << k << " i=" << i;
-    }
-    EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)));
-    const double pair_c =
-        avx.pair_total(alpha.data(), tables, k, em.data(), beta.data());
-    EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)));
+      // Backward: beta bit-identical; fused pair total within tolerance
+      // of the scalar (historical-order) accumulation.
+      std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
+      double pair_a = 0.0, pair_b = 0.0;
+      scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
+                           beta_a.data(), alpha.data(), &pair_a);
+      simd.backward_step(tables, k, em.data(), beta.data(), 1.375,
+                         beta_b.data(), alpha.data(), &pair_b);
+      EXPECT_TRUE(same_bits(beta_a, beta_b, k)) << where;
+      EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)))
+          << where;
+      // Standalone pair kernel agrees with the fused accumulation.
+      const double pair_c =
+          simd.pair_total(alpha.data(), tables, k, em.data(), beta.data());
+      EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)))
+          << where;
 
-    // exp rows: same Cephes polynomial, fused inner steps.
-    std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
-    scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
-    avx.exp_rows(e_n.data(), -3.0, stride, em_b.data());
-    for (std::size_t i = 0; i < stride; ++i) {
-      EXPECT_NEAR(em_a[i], em_b[i], 1e-13 * em_a[i] + 0.0)
-          << "k=" << k << " i=" << i;
+      // exp rows (full padded stride, -inf pads -> exact 0).
+      std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
+      scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
+      simd.exp_rows(e_n.data(), -3.0, stride, em_b.data());
+      for (std::size_t i = 0; i < stride; ++i) {
+        EXPECT_NEAR(em_a[i], em_b[i], 5e-15 * em_a[i] + 0.0)
+            << where << " i=" << i;
+      }
+      for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
     }
-    for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StateCounts, KernelEquivalence,
+                         ::testing::Values(1, 3, 8, 17, 21, 32, 201));
+
+// The vexp/vlog approximations use only exact lane arithmetic, so every
+// vector table computes the same bits for every row, whatever its lane
+// width: full lanes, partial tails and the -inf / 0 pads of real
+// recursions alike.
+TEST(KernelEquivalence, ExpLogRowsBitIdenticalAcrossVectorTables) {
+  const std::vector<const sk::KernelOps*> tables = vector_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "fewer than two vector tables";
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(4242);
+  std::uniform_int_distribution<std::size_t> length(1, 70);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+
+  for (int round = 0; round < 700; ++round) {
+    const std::size_t k = length(rng);
+    const std::size_t n = math::padded_cols(k);
+    // Log-domain row as the recursions build it: finite entries over a
+    // wide range (down into the flush-to-zero region), -inf pads and a
+    // few impossible states.
+    std::vector<double> logs = padded_row(k, -inf, rng, -800.0, 5.0);
+    // Probability row: mass in (0, 2], zeros, subnormals and 0 pads.
+    std::vector<double> probs = padded_row(k, 0.0, rng, 0.0, 2.0);
+    for (std::size_t i = round % 7; i < k; i += 7) {
+      logs[i] = -inf;
+      probs[i] = unit(rng) < 0.5 ? 0.0 : 1e-310 * unit(rng);
+    }
+    const double shift = -50.0 + 100.0 * unit(rng);
+
+    std::vector<std::vector<double>> exps, lns;
+    for (const sk::KernelOps* ops : tables) {
+      exps.emplace_back(n, -1.0);
+      lns.emplace_back(n, -1.0);
+      ops->exp_rows(logs.data(), shift, n, exps.back().data());
+      ops->log_rows(probs.data(), n, lns.back().data());
+    }
+    for (std::size_t t = 1; t < tables.size(); ++t) {
+      const std::string where = std::string(tables[0]->name) + " vs " +
+                                tables[t]->name + " k=" + std::to_string(k);
+      EXPECT_TRUE(same_bits(exps[0], exps[t], n)) << "exp " << where;
+      EXPECT_TRUE(same_bits(lns[0], lns[t], n)) << "log " << where;
+    }
   }
 }
 
@@ -296,18 +273,10 @@ core::TransitionModel prior_model(Prior prior, std::size_t k) {
   return core::TransitionModel::uniform(k);
 }
 
-/// Same bits over the first n entries (signed zeros and NaNs included).
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b,
-               std::size_t n) {
-  return std::memcmp(a.data(), b.data(), n * sizeof(T)) == 0;
-}
-
 /// The kernel tables of every forced tier this build and CPU can run.
 std::vector<const sk::KernelOps*> every_tier() {
-  std::vector<const sk::KernelOps*> tiers = {&sk::scalar_ops()};
-  if (simd_available()) tiers.push_back(sk::simd_ops());
-  if (avx512_available()) tiers.push_back(sk::avx512_ops());
+  std::vector<const sk::KernelOps*> tiers = vector_tables();
+  tiers.insert(tiers.begin(), &sk::scalar_ops());
   return tiers;
 }
 
@@ -446,30 +415,35 @@ TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
     for (const auto& log : logs) scalar_results.push_back(engine.infer(log));
   }
 
-  const sk::ScopedMode mode(sk::Mode::kForceSimd);
-  for (const std::size_t threads : {1u, 4u}) {
-    const std::vector<core::VeritasResult> simd_results =
-        engine.infer_batch(logs, threads);
-    ASSERT_EQ(simd_results.size(), scalar_results.size());
-    for (std::size_t s = 0; s < logs.size(); ++s) {
-      const core::VeritasResult& a = scalar_results[s];
-      const core::VeritasResult& b = simd_results[s];
-      // Viterbi decisions identical (the max-plus kernel is
-      // bit-identical and emissions are bitwise equal).
-      ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
-      for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
-        EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
-            << "k=" << k << " session=" << s << " n=" << n;
+  for (const sk::Mode table : vector_modes()) {
+    const sk::ScopedMode mode(table);
+    const std::string name = sk::backend_name();
+    for (const std::size_t threads : {1u, 4u}) {
+      const std::vector<core::VeritasResult> simd_results =
+          engine.infer_batch(logs, threads);
+      ASSERT_EQ(simd_results.size(), scalar_results.size());
+      for (std::size_t s = 0; s < logs.size(); ++s) {
+        const core::VeritasResult& a = scalar_results[s];
+        const core::VeritasResult& b = simd_results[s];
+        const std::string where = name + " k=" + std::to_string(k) +
+                                  " session=" + std::to_string(s);
+        // Viterbi decisions identical (the max-plus kernel is
+        // bit-identical and emissions are bitwise equal).
+        ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
+        for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
+          EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
+              << where << " n=" << n;
+        }
+        // Posteriors within the advertised tolerance (1e-9; the only
+        // divergences are the exp approximation and the width-dependent
+        // pair-total lane reduction).
+        EXPECT_LE(
+            a.posterior_marginals.max_abs_diff(b.posterior_marginals), 1e-9)
+            << where;
+        EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
+                    1e-9 * std::abs(a.log_likelihood))
+            << where;
       }
-      // Posteriors within the advertised tolerance (issue: 1e-9; the
-      // only divergences are the exp approximation and the pair-total
-      // lane reduction).
-      EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
-                1e-9)
-          << "k=" << k << " session=" << s;
-      EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
-                  1e-9 * std::abs(a.log_likelihood))
-          << "k=" << k << " session=" << s;
     }
   }
 }
@@ -477,51 +451,9 @@ TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
 INSTANTIATE_TEST_SUITE_P(StateCounts, EhmmEquivalence,
                          ::testing::Values(3, 8, 17, 32));
 
-// Forced AVX-512 end to end: identical Viterbi decisions (the max-plus
-// kernel and the emission log-pdf rows are bit-identical), posteriors
-// and log-likelihood within the 1e-12 tier gate.
-TEST_P(EhmmEquivalence, Avx512MatchesScalarWithinGate) {
-  if (!avx512_available()) {
-    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
-  }
-  const std::size_t k = GetParam();
-  const core::VeritasConfig cfg = config_for_states(k);
-  const core::InferenceEngine engine(cfg);
-  const auto logs = test_logs();
-
-  std::vector<core::VeritasResult> scalar_results;
-  {
-    const sk::ScopedMode mode(sk::Mode::kForceScalar);
-    for (const auto& log : logs) scalar_results.push_back(engine.infer(log));
-  }
-
-  const sk::ScopedMode mode(sk::Mode::kForceAvx512);
-  ASSERT_STREQ(sk::backend_name(), "avx512");
-  for (const std::size_t threads : {1u, 4u}) {
-    const std::vector<core::VeritasResult> avx_results =
-        engine.infer_batch(logs, threads);
-    ASSERT_EQ(avx_results.size(), scalar_results.size());
-    for (std::size_t s = 0; s < logs.size(); ++s) {
-      const core::VeritasResult& a = scalar_results[s];
-      const core::VeritasResult& b = avx_results[s];
-      ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
-      for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
-        EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
-            << "k=" << k << " session=" << s << " n=" << n;
-      }
-      EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
-                1e-12)
-          << "k=" << k << " session=" << s;
-      EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
-                  1e-12 * std::abs(a.log_likelihood))
-          << "k=" << k << " session=" << s;
-    }
-  }
-}
-
-// Dispatch resolution: kForceAvx512 resolves to the opt-in table when
-// compiled in and the CPU has it, and falls back to the default vector
-// tier (then scalar) otherwise — backend_name() always reports the tier
+// Dispatch resolution: kForceAvx512 resolves to the AVX-512 table when
+// compiled in and the CPU has it, and falls back to the AVX2/SSE2/NEON
+// table (then scalar) otherwise — backend_name() always reports the tier
 // actually serving the kernels.
 TEST(KernelDispatch, ForcedAvx512ResolvesOrFallsBack) {
   const sk::ScopedMode mode(sk::Mode::kForceAvx512);
@@ -534,15 +466,17 @@ TEST(KernelDispatch, ForcedAvx512ResolvesOrFallsBack) {
   }
 }
 
-// Default dispatch never auto-selects the FMA tier: kAuto must resolve
-// to the bit-exact default table even on AVX-512 hosts (the tier is
-// opt-in via VERITAS_SIMD=avx512 or the forced mode only).
-TEST(KernelDispatch, AutoNeverSelectsAvx512) {
+// Dispatch is a function of the CPU: kAuto resolves the widest table
+// compiled in and supported (AVX-512, then the AVX2/SSE2/NEON table,
+// then scalar).
+TEST(KernelDispatch, AutoSelectsWidestTable) {
   if (std::getenv("VERITAS_SIMD") != nullptr) {
     GTEST_SKIP() << "VERITAS_SIMD overrides auto dispatch in this run";
   }
   const sk::ScopedMode mode(sk::Mode::kAuto);
-  if (simd_available()) {
+  if (avx512_available()) {
+    EXPECT_STREQ(sk::backend_name(), "avx512");
+  } else if (simd_available()) {
     EXPECT_STREQ(sk::backend_name(), sk::simd_ops()->name);
   } else {
     EXPECT_STREQ(sk::backend_name(), "scalar");
@@ -561,15 +495,17 @@ TEST(EhmmEquivalence, MultiWindowEstimatorWithinTolerance) {
       const sk::ScopedMode mode(sk::Mode::kForceScalar);
       a = engine.infer(log);
     }
-    {
-      const sk::ScopedMode mode(sk::Mode::kForceSimd);
-      b = engine.infer(log);
+    for (const sk::Mode table : vector_modes()) {
+      {
+        const sk::ScopedMode mode(table);
+        b = engine.infer(log);
+      }
+      for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
+        EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n]);
+      }
+      EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
+                1e-9);
     }
-    for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
-      EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n]);
-    }
-    EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
-              1e-9);
   }
 }
 
@@ -601,8 +537,9 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
   const Ehmm full = make(64);
   EXPECT_EQ(small.transition().precomputed_powers(), 2u);
 
-  for (const sk::Mode m : {sk::Mode::kForceScalar, sk::Mode::kForceSimd}) {
-    if (m == sk::Mode::kForceSimd && !simd_available()) continue;
+  std::vector<sk::Mode> modes = vector_modes();
+  modes.insert(modes.begin(), sk::Mode::kForceScalar);
+  for (const sk::Mode m : modes) {
     const sk::ScopedMode mode(m);
     Ehmm::Scratch scratch_a, scratch_b;
     const Ehmm::InferencePass a = small.infer_fused(obs, scratch_a);

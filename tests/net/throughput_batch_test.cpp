@@ -4,9 +4,7 @@
 // candidate counts crossing the SIMD lane boundaries (k ∈ {1, 3, 8, 17,
 // 32}), ascending state-space-like grids including the zero candidate,
 // and adversarial windows that trip the closed form's guards — under
-// every dispatch mode (forced scalar, forced SIMD, and the opt-in
-// AVX-512 tier, which keeps this kernel FMA-free and therefore holds
-// the same bitwise contract).
+// every kernel table (forced scalar, forced SIMD and forced AVX-512).
 #include <cmath>
 #include <random>
 #include <vector>
@@ -115,8 +113,6 @@ TEST_P(ThroughputBatch, BitIdenticalToScalarComposition) {
           estimate_throughput_mbps(candidates[i], w, size_bytes, config);
     }
 
-    // estimate_batch avoids FMA on every tier, so the AVX-512 table is
-    // held to the same bitwise contract as the default vector one.
     for (const sk::Mode mode : {sk::Mode::kForceScalar, sk::Mode::kForceSimd,
                                 sk::Mode::kForceAvx512}) {
       if (!mode_available(mode)) continue;

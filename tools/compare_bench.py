@@ -9,8 +9,10 @@ Tracked metrics:
 
   * micro:   per-benchmark cpu_time from the google-benchmark block
              (lower is better), matched by full name incl. /simd:N
-             and /warm:N args — new tiers (e.g. /simd:2) only appear
-             in the newer snapshot and are reported as "new".
+             and /warm:N args. /simd:N pins one kernel table; a bench
+             without it runs the default dispatch, the widest table the
+             host supports (the snapshot's kernels_default context), so
+             compare those across snapshots from like hosts only.
   * batch:   single_session_us phases (lower), batch_throughput
              sessions_per_sec per thread count (higher).
   * train:   train_ms per mode (lower).

@@ -9,10 +9,10 @@
 # result cache).
 #
 # The micro benches run the EHMM kernel benchmarks at /simd:0 (forced
-# scalar reference), /simd:1 (default bit-exact vector table) and
-# /simd:2 (opt-in AVX-512/FMA tier; skipped when the binary or CPU lacks
-# it), so the snapshot records the whole kernel-tier trajectory from a
-# single binary — compare e.g. BM_ForwardBackwardRecursion/simd:0 vs
+# scalar reference), /simd:1 (forced AVX2/SSE2/NEON table) and /simd:2
+# (forced AVX-512 table, the default dispatch on AVX-512 hosts; skipped
+# when the binary or CPU lacks it), so the snapshot records every kernel
+# table from a single binary — compare e.g. BM_ForwardBackwardRecursion/simd:0 vs
 # /simd:1 vs /simd:2. Each guarded benchmark carries the *resolved* tier
 # name as its label, and every bench JSON records a "kernels" field. The
 # PR 5 estimator benches additionally split on /warm:0|1 (cross-session
