@@ -12,8 +12,8 @@
 //    tail columns. exp/log rows are bitwise equal across vector tables.
 //  * Ehmm level, k ∈ {3, 8, 17, 32}: identical Viterbi paths, scores
 //    and backpointer-driven decisions, posteriors within 1e-9 (observed
-//    ~1e-13: only the exp approximation and the pair reduction differ),
-//    at 1 and 4 inference threads.
+//    ~1e-13: only the exp approximation and the pair reduction differ;
+//    the AVX-512 table is held to 1e-12), at 1 and 4 inference threads.
 //  * exact supports: each kernel restricted to the recorded row/column
 //    supports of A^Δ is bit-identical to itself over the full ranges, on
 //    every tier, for tridiagonal / banded / uniform / zero-column priors,
@@ -106,13 +106,12 @@ std::vector<double> padded_row(std::size_t k, double pad, std::mt19937_64& rng,
   return row;
 }
 
-class KernelEquivalence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD table in this build";
-  const std::size_t k = GetParam();
+/// Holds one vector table's raw kernels to the scalar reference over k
+/// states (transition and inputs drawn from `seed`).
+void expect_raw_kernels_match_scalar(const sk::KernelOps& simd,
+                                     std::size_t k, std::uint64_t seed) {
   const std::size_t stride = math::padded_cols(k);
-  core::TransitionModel model = random_transition(k, 100 + k);
+  core::TransitionModel model = random_transition(k, seed + k);
   model.precompute_powers(4);
   core::TransitionModel::StepLayouts step;
   const sk::DeltaTables tables = model.tables(2, Domain::kProbability, step);
@@ -125,79 +124,92 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
   const double log_sigma = std::log(sigma);
   const double half_log_2pi = 0.5 * std::log(8.0 * std::atan(1.0));
 
-  for (const sk::KernelOps* ops : vector_tables()) {
-    const sk::KernelOps& simd = *ops;
-    std::mt19937_64 rng(900 + k);
-    for (int round = 0; round < 25; ++round) {
-      // Log-domain inputs for viterbi (pads -inf), probability-domain for
-      // the sum-product kernels (pads 0).
-      const std::vector<double> prev_log =
-          padded_row(k, -inf, rng, -40.0, 0.0);
-      const std::vector<double> e_n = padded_row(k, -inf, rng, -40.0, 0.0);
-      const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
-      const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
-      const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
-      const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
-      const std::vector<double> means = padded_row(k, 0.0, rng, 0.0, 12.0);
-      const std::string where =
-          std::string(simd.name) + " k=" + std::to_string(k);
+  std::mt19937_64 rng(seed + 800 + k);
+  for (int round = 0; round < 25; ++round) {
+    // Log-domain inputs for viterbi (pads -inf), probability-domain for
+    // the sum-product kernels (pads 0).
+    const std::vector<double> prev_log =
+        padded_row(k, -inf, rng, -40.0, 0.0);
+    const std::vector<double> e_n = padded_row(k, -inf, rng, -40.0, 0.0);
+    const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
+    const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
+    const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
+    const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
+    const std::vector<double> means = padded_row(k, 0.0, rng, 0.0, 12.0);
+    const std::string where =
+        std::string(simd.name) + " k=" + std::to_string(k);
 
-      // Viterbi: scores and backpointers bit-identical.
-      std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
-      std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-      scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                          curr_a.data(), back_a.data());
-      simd.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
-                        curr_b.data(), back_b.data());
-      EXPECT_TRUE(same_bits(curr_a, curr_b, k)) << where;
-      EXPECT_TRUE(same_bits(back_a, back_b, k)) << where;
+    // Viterbi: scores and backpointers bit-identical.
+    std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
+    std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
+    scalar.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                        curr_a.data(), back_a.data());
+    simd.viterbi_step(prev_log.data(), log_tables, k, e_n.data(),
+                      curr_b.data(), back_b.data());
+    EXPECT_TRUE(same_bits(curr_a, curr_b, k)) << where;
+    EXPECT_TRUE(same_bits(back_a, back_b, k)) << where;
 
-      // Emission log-pdf row: bit-identical (unpadded input row, the
-      // zero-copy cache path's shape), -inf pads.
-      std::vector<double> erow_a(stride, -1.0), erow_b(stride, -1.0);
-      scalar.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                                  log_sigma, half_log_2pi, erow_a.data());
-      simd.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                                log_sigma, half_log_2pi, erow_b.data());
-      EXPECT_TRUE(same_bits(erow_a, erow_b, stride)) << where;
-      for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(erow_b[i], -inf);
+    // Emission log-pdf row: bit-identical (unpadded input row, the
+    // zero-copy cache path's shape), -inf pads.
+    std::vector<double> erow_a(stride, -1.0), erow_b(stride, -1.0);
+    scalar.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
+                                log_sigma, half_log_2pi, erow_a.data());
+    simd.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
+                              log_sigma, half_log_2pi, erow_b.data());
+    EXPECT_TRUE(same_bits(erow_a, erow_b, stride)) << where;
+    for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(erow_b[i], -inf);
 
-      // Forward: bit-identical.
-      std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
-      scalar.forward_step(prev_prob.data(), tables, k, em.data(),
-                          row_a.data());
-      simd.forward_step(prev_prob.data(), tables, k, em.data(),
-                        row_b.data());
-      EXPECT_TRUE(same_bits(row_a, row_b, k)) << where;
+    // Forward: bit-identical.
+    std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
+    scalar.forward_step(prev_prob.data(), tables, k, em.data(),
+                        row_a.data());
+    simd.forward_step(prev_prob.data(), tables, k, em.data(),
+                      row_b.data());
+    EXPECT_TRUE(same_bits(row_a, row_b, k)) << where;
 
-      // Backward: beta bit-identical; fused pair total within tolerance
-      // of the scalar (historical-order) accumulation.
-      std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
-      double pair_a = 0.0, pair_b = 0.0;
-      scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                           beta_a.data(), alpha.data(), &pair_a);
-      simd.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                         beta_b.data(), alpha.data(), &pair_b);
-      EXPECT_TRUE(same_bits(beta_a, beta_b, k)) << where;
-      EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)))
-          << where;
-      // Standalone pair kernel agrees with the fused accumulation.
-      const double pair_c =
-          simd.pair_total(alpha.data(), tables, k, em.data(), beta.data());
-      EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)))
-          << where;
+    // Backward: beta bit-identical; fused pair total within tolerance
+    // of the scalar (historical-order) accumulation.
+    std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
+    double pair_a = 0.0, pair_b = 0.0;
+    scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
+                         beta_a.data(), alpha.data(), &pair_a);
+    simd.backward_step(tables, k, em.data(), beta.data(), 1.375,
+                       beta_b.data(), alpha.data(), &pair_b);
+    EXPECT_TRUE(same_bits(beta_a, beta_b, k)) << where;
+    EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)))
+        << where;
+    // Standalone pair kernel agrees with the fused accumulation.
+    const double pair_c =
+        simd.pair_total(alpha.data(), tables, k, em.data(), beta.data());
+    EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)))
+        << where;
 
-      // exp rows (full padded stride, -inf pads -> exact 0).
-      std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
-      scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
-      simd.exp_rows(e_n.data(), -3.0, stride, em_b.data());
-      for (std::size_t i = 0; i < stride; ++i) {
-        EXPECT_NEAR(em_a[i], em_b[i], 5e-15 * em_a[i] + 0.0)
-            << where << " i=" << i;
-      }
-      for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
+    // exp rows (full padded stride, -inf pads -> exact 0).
+    std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
+    scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
+    simd.exp_rows(e_n.data(), -3.0, stride, em_b.data());
+    for (std::size_t i = 0; i < stride; ++i) {
+      EXPECT_NEAR(em_a[i], em_b[i], 5e-15 * em_a[i] + 0.0)
+          << where << " i=" << i;
     }
+    for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
   }
+}
+
+class KernelEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no SIMD table in this build";
+  expect_raw_kernels_match_scalar(*sk::simd_ops(), GetParam(), 100);
+}
+
+// The AVX-512 table has no fused multiply-add, so its gate is the same
+// bit-exact contract as the AVX2/SSE2/NEON table's.
+TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
+  if (!avx512_available()) {
+    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
+  }
+  expect_raw_kernels_match_scalar(*sk::avx512_ops(), GetParam(), 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(StateCounts, KernelEquivalence,
@@ -399,11 +411,12 @@ std::vector<sim::SessionLog> test_logs() {
   return logs;
 }
 
-class EhmmEquivalence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD table in this build";
-  const std::size_t k = GetParam();
+/// Runs the engine over k states under the forced vector `table` at 1
+/// and 4 inference threads and holds it to the scalar run: identical
+/// Viterbi decisions (the max-plus kernel is bit-identical and emissions
+/// are bitwise equal), posteriors and log-likelihood within `gate`.
+void expect_engine_matches_scalar(sk::Mode table, std::size_t k,
+                                  double gate) {
   const core::VeritasConfig cfg = config_for_states(k);
   const core::InferenceEngine engine(cfg);
   ASSERT_EQ(engine.ehmm().space().size(), k);
@@ -415,37 +428,50 @@ TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
     for (const auto& log : logs) scalar_results.push_back(engine.infer(log));
   }
 
-  for (const sk::Mode table : vector_modes()) {
-    const sk::ScopedMode mode(table);
-    const std::string name = sk::backend_name();
-    for (const std::size_t threads : {1u, 4u}) {
-      const std::vector<core::VeritasResult> simd_results =
-          engine.infer_batch(logs, threads);
-      ASSERT_EQ(simd_results.size(), scalar_results.size());
-      for (std::size_t s = 0; s < logs.size(); ++s) {
-        const core::VeritasResult& a = scalar_results[s];
-        const core::VeritasResult& b = simd_results[s];
-        const std::string where = name + " k=" + std::to_string(k) +
-                                  " session=" + std::to_string(s);
-        // Viterbi decisions identical (the max-plus kernel is
-        // bit-identical and emissions are bitwise equal).
-        ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
-        for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
-          EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
-              << where << " n=" << n;
-        }
-        // Posteriors within the advertised tolerance (1e-9; the only
-        // divergences are the exp approximation and the width-dependent
-        // pair-total lane reduction).
-        EXPECT_LE(
-            a.posterior_marginals.max_abs_diff(b.posterior_marginals), 1e-9)
-            << where;
-        EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
-                    1e-9 * std::abs(a.log_likelihood))
-            << where;
+  const sk::ScopedMode mode(table);
+  const std::string name = sk::backend_name();
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::vector<core::VeritasResult> simd_results =
+        engine.infer_batch(logs, threads);
+    ASSERT_EQ(simd_results.size(), scalar_results.size());
+    for (std::size_t s = 0; s < logs.size(); ++s) {
+      const core::VeritasResult& a = scalar_results[s];
+      const core::VeritasResult& b = simd_results[s];
+      const std::string where = name + " k=" + std::to_string(k) +
+                                " session=" + std::to_string(s);
+      ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
+      for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
+        EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
+            << where << " n=" << n;
       }
+      EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
+                gate)
+          << where;
+      EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
+                  gate * std::abs(a.log_likelihood))
+          << where;
     }
   }
+}
+
+class EhmmEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+// Posteriors within the advertised tolerance (1e-9; the only divergences
+// are the exp approximation and the width-dependent pair-total lane
+// reduction).
+TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
+  if (!simd_available()) GTEST_SKIP() << "no SIMD table in this build";
+  expect_engine_matches_scalar(sk::Mode::kForceSimd, GetParam(), 1e-9);
+}
+
+// Forced AVX-512 end to end, within the tier's 1e-12 gate.
+TEST_P(EhmmEquivalence, Avx512MatchesScalarWithinGate) {
+  if (!avx512_available()) {
+    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
+  }
+  const sk::ScopedMode mode(sk::Mode::kForceAvx512);
+  ASSERT_STREQ(sk::backend_name(), "avx512");
+  expect_engine_matches_scalar(sk::Mode::kForceAvx512, GetParam(), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(StateCounts, EhmmEquivalence,
