@@ -11,6 +11,10 @@
 // *resolved* tier name so the JSON never reports a stale dispatch mode.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "abr/abr_factory.hpp"
 #include "core/inference_engine.hpp"
 #include "core/veritas.hpp"
@@ -198,7 +202,7 @@ void BM_EmissionLogProbs(benchmark::State& state) {
   std::vector<std::shared_ptr<const core::EstimatorCache::Entry>> refs;
   math::Matrix logs;
   for (auto _ : state) {
-    cache.clear();  // also drops the L1's slots (epoch bump)
+    cache.clear();
     engine.ehmm().emission_mean_rows_into(obs, cache, l1, rows, refs);
     engine.ehmm().emission_log_probs_from_rows_into(obs, rows, logs);
     benchmark::DoNotOptimize(logs);
@@ -456,8 +460,8 @@ BENCHMARK(BM_EstimatorBatchCaHeavyK17)
 /// The emission-means phase of one session (the estimator-bound part of
 /// prepare()): /warm:0 clears the (W, S) cache every iteration (every
 /// tuple re-runs f — the cross-session-cache-less cost), /warm:1 leaves
-/// it warm (every row is an L1 probe and a pin — the steady state of an
-/// engine serving repeat traffic).
+/// it warm (every row is one cache probe — the steady state of an engine
+/// serving repeat traffic).
 void BM_EmissionMeansK17(benchmark::State& state) {
   KernelModeGuard guard(state);
   if (!guard) return;
@@ -517,6 +521,63 @@ BENCHMARK(BM_FbWithEstimatorK17)
     ->Args({1, 1})
     ->Args({2, 0})
     ->Args({2, 1});
+
+/// A fleet-like corpus: 192 FCC-like sessions, each under MPC, BBA or
+/// BOLA in turn, simulated once.
+const std::vector<sim::SessionLog>& fleet_logs() {
+  static const auto fleet = [] {
+    const auto traces =
+        trace::make_traces(trace::TraceFamily::kFccLike, 192, 7);
+    const video::Video video(video::default_video_config());
+    const char* const abrs[] = {"mpc", "bba", "bola"};
+    std::vector<sim::SessionLog> out;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      auto abr = abr::make_abr(abrs[i % 3]);
+      const net::NetworkPath path(traces[i], 0.08);
+      out.push_back(sim::run_session(video, *abr, path).log);
+    }
+    return out;
+  }();
+  return fleet;
+}
+
+double min_of(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+double max_of(const std::vector<double>& v) {
+  return *std::max_element(v.begin(), v.end());
+}
+
+/// Engine construction (what perfbench's setup_s times) right after an
+/// engine that abducted the fleet, and so holds its rows in the
+/// estimator cache, was destroyed: any cost the freed cache leaves in the
+/// allocator for the next construction to pay shows here. One build per
+/// repetition, so the min/median/max aggregates are the distribution
+/// over rebuilds.
+void BM_EngineBuildAfterFilledCache(benchmark::State& state) {
+  const core::VeritasConfig config;
+  const auto& fleet = fleet_logs();
+  std::optional<core::InferenceEngine> engine;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.reset();
+    {
+      const core::InferenceEngine filled(config);
+      core::Ehmm::Scratch scratch;
+      for (const sim::SessionLog& log : fleet) {
+        benchmark::DoNotOptimize(filled.infer(log, scratch));
+      }
+    }
+    state.ResumeTiming();
+    engine.emplace(config);
+  }
+}
+BENCHMARK(BM_EngineBuildAfterFilledCache)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1)
+    ->Repetitions(30)
+    ->ComputeStatistics("min", min_of)
+    ->ComputeStatistics("max", max_of);
 
 void BM_TcpDownload(benchmark::State& state) {
   const auto bw = trace::BandwidthTrace::constant(5.0, 100000.0, 5.0);

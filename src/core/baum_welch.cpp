@@ -29,8 +29,8 @@ struct SessionStats {
 void accumulate_session(
     const Ehmm& model, std::span<const ChunkObservation> obs,
     const Ehmm::ForwardBackwardResult& fb, const Ehmm::Scratch& scratch,
-    std::span<const std::shared_ptr<const EstimatorCache::Entry>> refs,
-    const BaumWelchConfig& config, SessionStats& stats) {
+    std::span<const double* const> plain_rows, const BaumWelchConfig& config,
+    SessionStats& stats) {
   const std::size_t k = model.space().size();
   stats.transition_counts.resize(k, k, 0.0);
   stats.initial.assign(k, 0.0);
@@ -72,11 +72,9 @@ void accumulate_session(
 
   if (config.update_sigma) {
     for (std::size_t n = 0; n < obs.size(); ++n) {
-      // σ is fitted to the un-averaged f(value(i)) row; it is stored
-      // separately only when the estimator span-averages.
-      const EstimatorCache::Entry& entry = *refs[n];
-      const double* mean_row =
-          entry.plain.empty() ? entry.mean.data() : entry.plain.data();
+      // σ is fitted to the un-averaged f(value(i)) row; it differs from
+      // the mean row only when the estimator span-averages.
+      const double* mean_row = plain_rows[n];
       for (std::size_t i = 0; i < k; ++i) {
         const double r = obs[n].throughput_mbps - mean_row[i];
         stats.residual_sq += fb.gamma(n, i) * r * r;
@@ -135,14 +133,15 @@ BaumWelchResult baum_welch_train(
   }
 
   // The emission means f(candidate, W, S) do not depend on (A, u, σ),
-  // so each session's rows are filled once and stay pinned (refs) across
-  // iterations — except under kMultiWindow with update_transition, where
-  // the span-averaged candidates move with A and the rows are refilled
-  // under each iteration's table id.
+  // so each session's rows are filled once and stay pinned (refs: one
+  // pin per cache slab the rows live in) across iterations — except
+  // under kMultiWindow with update_transition, where the span-averaged
+  // candidates move with A and the rows are refilled under each
+  // iteration's table id.
   const bool refill_rows = multi_window && config.update_transition;
   std::vector<std::vector<const double*>> rows(n_sessions);
-  std::vector<std::vector<std::shared_ptr<const EstimatorCache::Entry>>> refs(
-      n_sessions);
+  std::vector<std::vector<const double*>> plain_rows(n_sessions);
+  std::vector<EstimatorCache::Pins> refs(n_sessions);
 
   double previous_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
@@ -155,17 +154,16 @@ BaumWelchResult baum_welch_train(
       const std::vector<ChunkObservation>& obs = sessions[idx];
       Ehmm::Scratch& lane = scratch[worker];
       if (iter == 0 || refill_rows) {
-        // The lane's L1 front-cache rides along: repeat tuples inside a
-        // lane skip the shared memo's shard locks entirely. Rows are
-        // bit-identical either way, so the thread-count determinism
-        // argument is untouched.
+        // Rows are bit-identical whichever lane computed them first, so
+        // the thread-count determinism argument is untouched.
         model.emission_mean_rows_into(obs, *lane.estimator_cache,
                                       lane.estimator_l1, rows[idx],
-                                      refs[idx]);
+                                      refs[idx], &plain_rows[idx]);
       }
       const Ehmm::ForwardBackwardResult fb =
           model.forward_backward_from_rows(obs, rows[idx], lane);
-      accumulate_session(model, obs, fb, lane, refs[idx], config, stats[idx]);
+      accumulate_session(model, obs, fb, lane, plain_rows[idx], config,
+                         stats[idx]);
     });
 
     // Ordered reduction: session-index order, independent of which lane

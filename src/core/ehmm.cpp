@@ -130,32 +130,28 @@ std::vector<std::size_t> Ehmm::window_deltas(
   return deltas;
 }
 
-void Ehmm::compute_cache_entry(const ChunkObservation& obs,
-                               EstimatorCache::Entry& entry,
-                               std::vector<double>& y0_row,
-                               std::vector<double>& span_cands,
-                               std::vector<std::uint8_t>& span_gt1) const {
+void Ehmm::compute_mean_row(const ChunkObservation& obs, double* mean,
+                            double* plain, double* span_cands,
+                            std::vector<std::uint8_t>& span_gt1) const {
   const std::size_t k = space_.size();
-  entry.mean.resize(k);
   if (!multi_window_) {
     // One batched estimator call for the whole candidate row.
-    emission_.mean_throughput_row(candidate_values_.data(), k, obs,
-                                  entry.mean.data());
+    emission_.mean_throughput_row(candidate_values_.data(), k, obs, mean);
     return;
   }
   // Replace each candidate with its expected average over the download
   // span: estimate the span from f at the start value (first batched
-  // call), then re-evaluate f at the precomputed span-averaged candidate
-  // for the spans that exceed one window (second batched call;
-  // single-window lanes keep y0 and are fed a zero candidate, which
-  // short-circuits inside f).
-  emission_.mean_throughput_row(candidate_values_.data(), k, obs,
-                                y0_row.data());
+  // call, the plain row), then re-evaluate f at the precomputed
+  // span-averaged candidate for the spans that exceed one window (second
+  // batched call; single-window lanes keep the plain value and are fed a
+  // zero candidate, which short-circuits inside f).
+  emission_.mean_throughput_row(candidate_values_.data(), k, obs, plain);
+  span_gt1.resize(k);
   bool any_span = false;
   for (std::size_t i = 0; i < k; ++i) {
     std::size_t span_windows = 1;
-    if (y0_row[i] > 1e-9) {
-      const double est_duration = obs.size_bytes * 8.0 / 1e6 / y0_row[i];
+    if (plain[i] > 1e-9) {
+      const double est_duration = obs.size_bytes * 8.0 / 1e6 / plain[i];
       span_windows = std::min<std::size_t>(
           static_cast<std::size_t>(est_duration / delta_s_) + 1,
           kMaxSpanWindows);
@@ -166,63 +162,51 @@ void Ehmm::compute_cache_entry(const ChunkObservation& obs,
     any_span |= span_windows > 1;
   }
   if (any_span) {
-    emission_.mean_throughput_row(span_cands.data(), k, obs,
-                                  entry.mean.data());
+    emission_.mean_throughput_row(span_cands, k, obs, mean);
     for (std::size_t i = 0; i < k; ++i) {
-      if (span_gt1[i] == 0) entry.mean[i] = y0_row[i];
+      if (span_gt1[i] == 0) mean[i] = plain[i];
     }
   } else {
-    std::memcpy(entry.mean.data(), y0_row.data(), k * sizeof(double));
+    std::memcpy(mean, plain, k * sizeof(double));
   }
-  entry.plain.assign(y0_row.begin(), y0_row.end());
 }
 
 void Ehmm::emission_mean_rows_into(
     std::span<const ChunkObservation> observations, EstimatorCache& cache,
     EstimatorCache::L1& l1, std::vector<const double*>& rows,
-    std::vector<std::shared_ptr<const EstimatorCache::Entry>>& refs) const {
+    std::vector<std::shared_ptr<const EstimatorCache::Entry>>& refs,
+    std::vector<const double*>* plain_rows) const {
   VERITAS_EXPECTS(!observations.empty());
   const std::size_t n_obs = observations.size();
   const std::size_t k = space_.size();
   rows.resize(n_obs);
+  if (plain_rows != nullptr) plain_rows->resize(n_obs);
   refs.clear();
-  refs.reserve(n_obs);
   l1.sync(cache);
-  std::vector<double> y0_row;
-  std::vector<double> span_cands;
+  // A missed row is computed into the lane's buffer — mean, then (under
+  // kMultiWindow) plain and the span candidates — and copied into the
+  // cache once.
+  double* const mean = l1.buffer(multi_window_ ? 3 * k : k);
+  double* const plain = multi_window_ ? mean + k : nullptr;
+  double* const span_cands = multi_window_ ? mean + 2 * k : nullptr;
   std::vector<std::uint8_t> span_gt1;
-  if (multi_window_) {
-    y0_row.resize(k);
-    span_cands.resize(k);
-    span_gt1.resize(k);
-  }
   for (std::size_t n = 0; n < n_obs; ++n) {
     const ChunkObservation& obs = observations[n];
     const EstimatorCache::Key key =
         EstimatorCache::key_of(obs.tcp, obs.size_bytes, emission_table_id_);
-    // Every served row is pinned in `refs` — a later put() may displace
-    // the L1 slot whose shared_ptr kept the entry alive, and the shared
-    // memo may capacity-flush the owning shard, so the per-session pin
-    // is what makes the row pointers stable for the recursions.
-    if (const std::shared_ptr<const EstimatorCache::Entry>* pinned =
-            l1.find(key)) {
-      refs.push_back(*pinned);
-      rows[n] = refs.back()->mean.data();
-      continue;
+    const std::uint64_t hash = EstimatorCache::hash_of(key);
+    // Every served row's slab is pinned in `refs`, so the row pointers
+    // stay valid for the recursions even if the shard is flushed.
+    const EstimatorCache::Entry* entry = cache.find(key, hash, l1, refs);
+    if (entry == nullptr) {
+      compute_mean_row(obs, mean, plain, span_cands, span_gt1);
+      entry = cache.insert(
+          key, hash, std::span<const double>(mean, k),
+          std::span<const double>(plain, plain != nullptr ? k : 0), l1,
+          refs);
     }
-    if (std::shared_ptr<const EstimatorCache::Entry> entry =
-            cache.find(key)) {
-      rows[n] = entry->mean.data();
-      refs.push_back(entry);
-      l1.put(key, std::move(entry));
-      continue;
-    }
-    auto entry = std::make_shared<EstimatorCache::Entry>();
-    compute_cache_entry(obs, *entry, y0_row, span_cands, span_gt1);
-    rows[n] = entry->mean.data();
-    refs.push_back(entry);
-    l1.put(key, entry);
-    cache.insert(key, std::move(entry));
+    rows[n] = entry->mean();
+    if (plain_rows != nullptr) (*plain_rows)[n] = entry->plain();
   }
 }
 
@@ -266,10 +250,8 @@ void Ehmm::prepare(std::span<const ChunkObservation> observations,
         EstimatorCache::kDefaultByteBudget, space_.size(), multi_window_);
     scratch.estimator_cache = std::make_shared<EstimatorCache>(config);
   }
-  // Zero-copy emission phase (PR 7): the L1 front-cache serves repeat
-  // tuples without shard locks, and rows are consumed straight out of
-  // cache-entry storage — a fully warm session does no row memcpy at
-  // all.
+  // Zero-copy emission phase: rows are consumed straight out of the
+  // cache's slabs, so a fully warm session does no row memcpy at all.
   {
     VERITAS_TRACE_SPAN("ehmm.emission_means", "ehmm");
     emission_mean_rows_into(observations, *scratch.estimator_cache,

@@ -100,18 +100,16 @@ class Ehmm {
     /// model's candidate-table id, so one cache can serve any number of
     /// models without cross-talk.
     std::shared_ptr<EstimatorCache> estimator_cache;
-    /// Lock-free L1 front-cache over `estimator_cache` (PR 7 tentpole):
-    /// repeat (W, S) tuples inside this scratch's sessions resolve to
-    /// their memoized rows without touching the shared memo's sharded
-    /// locks. Re-keyed automatically (owner pointer + epoch) when the
-    /// scratch hops engines or the shared cache is clear()ed.
+    /// This scratch's handle on `estimator_cache`: re-synced to it at
+    /// every session, it dedupes the session's slab pins and holds the
+    /// buffer a missed row is computed into. It holds no rows.
     EstimatorCache::L1 estimator_l1;
     /// Zero-copy emission means of the current session: row n of the
-    /// N x K mean matrix as a pointer straight into the owning cache
-    /// entry's storage (only k readable doubles — not padded). Filled by
-    /// prepare() via emission_mean_rows_into; `emission_refs` pins every
-    /// row's entry for the session so L1 displacement or shard flushes
-    /// cannot free a row mid-recursion.
+    /// N x K mean matrix as a pointer straight into the cache slab that
+    /// stores it (only k readable doubles — not padded). Filled by
+    /// prepare() via emission_mean_rows_into; `emission_refs` pins each
+    /// slab those rows live in, so a shard flush or clear() cannot free
+    /// a row mid-recursion.
     std::vector<const double*> emission_rows;
     std::vector<std::shared_ptr<const EstimatorCache::Entry>> emission_refs;
   };
@@ -132,18 +130,20 @@ class Ehmm {
   /// (span-averaged under kMultiWindow). Each distinct (TCP state, size)
   /// tuple runs the batched estimator once and is memoized in `cache` —
   /// within the session, across sessions, and across threads when the
-  /// cache is shared; `l1` is sync()ed to `cache` and consulted first.
-  /// The pointers aim straight into the cache entries' own storage (k
-  /// readable doubles, unpadded), and `refs[n]` pins row n's entry, so
-  /// the rows outlive L1 displacement and shard capacity flushes for as
-  /// long as the caller keeps `refs`. `refs[n]->plain` holds the
-  /// un-averaged f(value(i), W, S) row that Baum-Welch's σ re-estimate
-  /// reads; it is empty (equal to `mean`) except under kMultiWindow.
-  /// Rows are bit-identical whether they came from a hit or a miss.
+  /// cache is shared; `l1` is this lane's handle on `cache` (sync()ed
+  /// here). The pointers aim straight into the cache's slabs (k readable
+  /// doubles, unpadded), and `refs` pins every slab they live in, so the
+  /// rows outlive shard capacity flushes and clear() for as long as the
+  /// caller keeps `refs` (one pin per slab, not per row). When
+  /// `plain_rows` is given, `(*plain_rows)[n]` receives the un-averaged
+  /// f(value(i), W, S) row that Baum-Welch's σ re-estimate reads (the
+  /// same pointer as `rows[n]` except under kMultiWindow). Rows are
+  /// bit-identical whether they came from a hit or a miss.
   void emission_mean_rows_into(
       std::span<const ChunkObservation> observations, EstimatorCache& cache,
       EstimatorCache::L1& l1, std::vector<const double*>& rows,
-      std::vector<std::shared_ptr<const EstimatorCache::Entry>>& refs) const;
+      std::vector<std::shared_ptr<const EstimatorCache::Entry>>& refs,
+      std::vector<const double*>* plain_rows = nullptr) const;
 
   /// Fingerprint of everything an emission-mean row depends on besides
   /// (W, S): estimator kind, TCP config, candidate values, span table
@@ -232,14 +232,12 @@ class Ehmm {
                             Scratch& scratch) const;
 
  private:
-  /// Runs the batched estimator for one observation and fills `entry`:
-  /// `mean` always (k doubles), `plain` only under kMultiWindow. The
-  /// three buffers are span-estimation scratch reused across rows.
-  void compute_cache_entry(const ChunkObservation& obs,
-                           EstimatorCache::Entry& entry,
-                           std::vector<double>& y0_row,
-                           std::vector<double>& span_cands,
-                           std::vector<std::uint8_t>& span_gt1) const;
+  /// Runs the batched estimator for one observation: writes the k-double
+  /// `mean` row and, under kMultiWindow only, the `plain` row, using
+  /// `span_cands` (k doubles) and `span_gt1` as span-estimation scratch.
+  void compute_mean_row(const ChunkObservation& obs, double* mean,
+                        double* plain, double* span_cands,
+                        std::vector<std::uint8_t>& span_gt1) const;
 
   /// Fills scratch.log_emission and scratch.deltas for `observations`.
   void prepare(std::span<const ChunkObservation> observations,

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <mutex>
-#include <utility>
+#include <new>
+#include <shared_mutex>
+
+#include "util/expects.hpp"
 
 namespace veritas::core {
 
@@ -19,6 +23,131 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 33;
   return x;
+}
+
+/// Slots of a shard's first index table (a power of two). A table
+/// doubles before it passes half full.
+constexpr std::size_t kInitialIndexSlots = 128;
+constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+/// The unit slabs are allocated in: 16-byte alignment for the header
+/// and the rows behind it.
+struct alignas(16) Cell {
+  std::byte bytes[16];
+};
+
+constexpr std::size_t round_up(std::size_t n) noexcept {
+  return (n + sizeof(Cell) - 1) / sizeof(Cell) * sizeof(Cell);
+}
+
+/// One index slot: the key's full hash (compared before the key) and the
+/// entry; `entry == nullptr` marks an empty slot.
+struct Slot {
+  std::uint64_t hash = 0;
+  const EstimatorCache::Entry* entry = nullptr;
+};
+
+}  // namespace
+
+struct alignas(64) EstimatorCache::Shard {
+  mutable std::shared_mutex mutex;
+  mutable std::atomic<std::uint64_t> hits{0};
+  mutable std::atomic<std::uint64_t> misses{0};
+  // Everything below is guarded by `mutex`.
+  std::unique_ptr<Slot[]> index;  ///< null until the first insert
+  std::size_t mask = 0;           ///< index slots - 1
+  std::size_t count = 0;          ///< live entries
+  /// Bumped by every change to the index, so an insert can tell whether
+  /// the probe of the find() before it still holds.
+  std::uint64_t version = 0;
+  std::vector<std::shared_ptr<Cell[]>> slabs;  ///< live; tail last
+  std::byte* tail = nullptr;                    ///< next free byte
+  std::byte* tail_end = nullptr;
+  std::uint64_t insertions = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t slabs_allocated = 0;
+  std::uint64_t index_allocations = 0;
+
+  /// The probe start of `hash`: its upper half, rotated down, so the
+  /// probe does not reuse the low bits a power-of-two shard count picks
+  /// the shard by.
+  std::size_t home(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(std::rotr(hash, 32)) & mask;
+  }
+
+  /// Linear probe for `key`: its entry, or nullptr with `slot` set to the
+  /// empty slot that ends the probe (kNoSlot when there is no index).
+  const Entry* probe(const Key& key, std::uint64_t hash,
+                     std::size_t& slot) const noexcept {
+    if (index == nullptr) {
+      slot = kNoSlot;
+      return nullptr;
+    }
+    for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+      const Slot& s = index[i];
+      if (s.entry == nullptr) {
+        slot = i;
+        return nullptr;
+      }
+      if (s.hash == hash && s.entry->key_ == key) return s.entry;
+    }
+  }
+
+  /// The first empty slot on `hash`'s probe path; the key is known to be
+  /// absent.
+  std::size_t free_slot(std::uint64_t hash) const noexcept {
+    std::size_t i = home(hash);
+    while (index[i].entry != nullptr) i = (i + 1) & mask;
+    return i;
+  }
+
+  /// Allocates the first index table, or doubles the current one.
+  void grow() {
+    const std::size_t slots =
+        index == nullptr ? kInitialIndexSlots : 2 * (mask + 1);
+    std::unique_ptr<Slot[]> old = std::move(index);
+    const std::size_t old_slots = old == nullptr ? 0 : mask + 1;
+    index = std::make_unique<Slot[]>(slots);
+    mask = slots - 1;
+    ++index_allocations;
+    for (std::size_t i = 0; i < old_slots; ++i) {
+      if (old[i].entry != nullptr) index[free_slot(old[i].hash)] = old[i];
+    }
+    ++version;
+  }
+
+  /// Drops every entry: the index is emptied in place and the slabs are
+  /// let go of (each is freed when its last pin drops).
+  void retire() noexcept {
+    if (index != nullptr) std::fill_n(index.get(), mask + 1, Slot{});
+    count = 0;
+    slabs.clear();
+    tail = tail_end = nullptr;
+    ++version;
+  }
+
+  /// Bump-allocates `bytes` in the tail slab, starting a new slab when
+  /// the tail cannot hold them.
+  std::byte* allocate(std::size_t bytes) {
+    if (static_cast<std::size_t>(tail_end - tail) < bytes) {
+      const std::size_t slab_bytes = std::max(kSlabBytes, bytes);
+      slabs.push_back(
+          std::make_shared_for_overwrite<Cell[]>(slab_bytes / sizeof(Cell)));
+      ++slabs_allocated;
+      tail = reinterpret_cast<std::byte*>(slabs.back().get());
+      tail_end = tail + slab_bytes;
+    }
+    std::byte* out = tail;
+    tail += bytes;
+    return out;
+  }
+};
+
+namespace {
+
+constexpr std::size_t entry_bytes(std::size_t k, bool two_rows) noexcept {
+  return round_up(sizeof(EstimatorCache::Entry)) +
+         round_up(k * sizeof(double) * (two_rows ? 2 : 1));
 }
 
 }  // namespace
@@ -44,6 +173,13 @@ EstimatorCache::EstimatorCache(Config config)
   config_.shards = std::max<std::size_t>(1, config.shards);
 }
 
+EstimatorCache::~EstimatorCache() = default;
+
+std::size_t EstimatorCache::rows_per_slab(std::size_t k,
+                                          bool two_rows) noexcept {
+  return std::max<std::size_t>(1, kSlabBytes / entry_bytes(k, two_rows));
+}
+
 EstimatorCache::Key EstimatorCache::key_of(const net::TcpState& w,
                                            double size_bytes,
                                            std::uint64_t table_id) noexcept {
@@ -60,48 +196,105 @@ EstimatorCache::Key EstimatorCache::key_of(const net::TcpState& w,
   return key;
 }
 
-EstimatorCache::Shard& EstimatorCache::shard_for(
-    const Key& key) const noexcept {
-  return shards_[KeyHash{}(key) % config_.shards];
+std::uint64_t EstimatorCache::hash_of(const Key& key) noexcept {
+  return KeyHash{}(key);
 }
 
-std::shared_ptr<const EstimatorCache::Entry> EstimatorCache::find(
-    const Key& key) const {
-  Shard& shard = shard_for(key);
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+void EstimatorCache::pin(const Shard& shard, std::size_t shard_index,
+                         const Entry& entry, L1& lane, Pins& pins) const {
+  const std::shared_ptr<Cell[]>& slab = shard.slabs[entry.slab_];
+  if (lane.pinned_[shard_index] == slab.get()) return;
+  lane.pinned_[shard_index] = slab.get();
+  pins.emplace_back(slab, &entry);
+}
+
+const EstimatorCache::Entry* EstimatorCache::find(const Key& key,
+                                                  std::uint64_t hash,
+                                                  L1& lane,
+                                                  Pins& pins) const {
+  VERITAS_EXPECTS(lane.owner_ == this);
+  const std::size_t s = hash % config_.shards;
+  Shard& shard = shards_[s];
+  std::shared_lock lock(shard.mutex);
+  std::size_t slot = 0;
+  if (const Entry* entry = shard.probe(key, hash, slot)) {
+    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    pin(shard, s, *entry, lane, pins);
+    return entry;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  lane.probed_ = true;
+  lane.probe_hash_ = hash;
+  lane.probe_version_ = shard.version;
+  lane.probe_slot_ = slot;
   return nullptr;
 }
 
-void EstimatorCache::insert(const Key& key,
-                            std::shared_ptr<const Entry> entry) {
-  Shard& shard = shard_for(key);
+const EstimatorCache::Entry* EstimatorCache::insert(
+    const Key& key, std::uint64_t hash, std::span<const double> mean,
+    std::span<const double> plain, L1& lane, Pins& pins) {
+  VERITAS_EXPECTS(lane.owner_ == this);
+  VERITAS_EXPECTS(plain.empty() || plain.size() == mean.size());
+  const std::size_t s = hash % config_.shards;
+  Shard& shard = shards_[s];
   std::unique_lock lock(shard.mutex);
-  if (shard.map.size() >= per_shard_capacity_ &&
-      shard.map.find(key) == shard.map.end()) {
-    shard.map.clear();
-    flushes_.fetch_add(1, std::memory_order_relaxed);
+
+  // The failed find() of this key left its probe: while the shard is
+  // unchanged since, the key is absent and the probe's empty slot is
+  // where a re-probe would land.
+  std::size_t slot = kNoSlot;
+  if (lane.probed_ && lane.probe_hash_ == hash &&
+      lane.probe_version_ == shard.version) {
+    slot = lane.probe_slot_;
+  } else if (const Entry* entry = shard.probe(key, hash, slot)) {
+    lane.probed_ = false;
+    pin(shard, s, *entry, lane, pins);
+    return entry;
   }
-  const auto [it, inserted] = shard.map.try_emplace(key, std::move(entry));
-  if (inserted) insertions_.fetch_add(1, std::memory_order_relaxed);
+  lane.probed_ = false;
+
+  if (shard.count >= per_shard_capacity_) {
+    shard.retire();
+    ++shard.flushes;
+    slot = kNoSlot;
+  }
+  if (shard.index == nullptr || 2 * (shard.count + 1) > shard.mask + 1) {
+    shard.grow();
+    slot = kNoSlot;
+  }
+  if (slot == kNoSlot) slot = shard.free_slot(hash);
+
+  const std::size_t k = mean.size();
+  const bool two_rows = !plain.empty();
+  Entry* entry = new (shard.allocate(entry_bytes(k, two_rows))) Entry;
+  entry->key_ = key;
+  entry->k_ = static_cast<std::uint32_t>(k);
+  entry->slab_ = static_cast<std::uint32_t>(shard.slabs.size() - 1);
+  entry->two_rows_ = two_rows;
+  double* rows = const_cast<double*>(entry->mean());
+  std::memcpy(rows, mean.data(), k * sizeof(double));
+  if (two_rows) std::memcpy(rows + k, plain.data(), k * sizeof(double));
+
+  shard.index[slot] = {hash, entry};
+  ++shard.count;
+  ++shard.version;
+  ++shard.insertions;
+  pin(shard, s, *entry, lane, pins);
+  return entry;
 }
 
 EstimatorCache::Stats EstimatorCache::stats() const {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.flushes = flushes_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    std::shared_lock lock(shards_[i].mutex);
-    s.entries += shards_[i].map.size();
+    const Shard& shard = shards_[i];
+    std::shared_lock lock(shard.mutex);
+    s.hits += shard.hits.load(std::memory_order_relaxed);
+    s.misses += shard.misses.load(std::memory_order_relaxed);
+    s.insertions += shard.insertions;
+    s.flushes += shard.flushes;
+    s.entries += shard.count;
+    s.slabs += shard.slabs_allocated;
+    s.index_allocations += shard.index_allocations;
   }
   return s;
 }
@@ -109,11 +302,16 @@ EstimatorCache::Stats EstimatorCache::stats() const {
 void EstimatorCache::clear() {
   for (std::size_t i = 0; i < config_.shards; ++i) {
     std::unique_lock lock(shards_[i].mutex);
-    shards_[i].map.clear();
+    shards_[i].retire();
   }
-  // Published after the shards are empty so an L1 that syncs against the
-  // new epoch can never re-pin a row the clear was meant to drop.
   epoch_.fetch_add(1, std::memory_order_release);
+}
+
+void EstimatorCache::L1::sync(const EstimatorCache& owner) {
+  owner_ = &owner;
+  epoch_ = owner.epoch();
+  pinned_.assign(owner.config_.shards, nullptr);
+  probed_ = false;
 }
 
 }  // namespace veritas::core

@@ -649,9 +649,8 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
                   });
         return out;
       });
-  // Shared estimator-cache counters, per shard. The per-lane L1 front
-  // caches live inside each lane's scratch and are deliberately not
-  // aggregated here (no shared counters by design — see
+  // Estimator-cache counters, per shard. The cache is the only level:
+  // every row a lane serves is counted here as a hit or a miss (see
   // core/estimator_cache.hpp).
   registry.add_counter(
       "veritas_estimator_cache_events_total",

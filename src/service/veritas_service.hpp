@@ -196,7 +196,7 @@ struct ServiceOptions {
   /// reordered, not dropped — so one hot shard cannot occupy every
   /// lane and starve the rest of the fleet.
   std::size_t max_lanes_per_shard = 0;
-  OverloadPolicy overload;
+  OverloadPolicy overload{};
 };
 
 /// Point-in-time counters. Gauges (queue depths, in-flight, overloaded)

@@ -1,7 +1,7 @@
-// The cross-session (W, S) estimator cache (PR 5 tentpole): memo
-// hit-vs-miss bit-identity, candidate-table (config/epoch) invalidation,
-// capacity flushes, and the engine / Baum-Welch plumbing that shares one
-// cache across sessions, lanes and EM iterations.
+// The cross-session (W, S) estimator cache: memo hit-vs-miss
+// bit-identity, candidate-table (config/epoch) invalidation, capacity
+// flushes, slab allocation counts, and the engine / Baum-Welch plumbing
+// that shares one cache across sessions, lanes and EM iterations.
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -31,30 +31,28 @@ std::vector<ChunkObservation> session_obs(std::uint64_t seed,
 
 /// The session's emission-mean rows served through `cache`, copied into
 /// a dense N x K matrix; `plain` (when non-null) receives the un-averaged
-/// rows the σ re-estimate reads. Each call starts a fresh L1, so every
-/// row is either an L1 hit (counted into `l1_hits`) or a probe of
-/// `cache`.
+/// rows the σ re-estimate reads. Each call syncs a fresh lane handle, so
+/// every row is a probe of `cache`.
 math::Matrix mean_matrix(const Ehmm& ehmm,
                          const std::vector<ChunkObservation>& obs,
-                         EstimatorCache& cache, math::Matrix* plain = nullptr,
-                         std::uint64_t* l1_hits = nullptr) {
+                         EstimatorCache& cache, math::Matrix* plain = nullptr) {
   EstimatorCache::L1 l1;
   std::vector<const double*> rows;
-  std::vector<std::shared_ptr<const EstimatorCache::Entry>> refs;
-  ehmm.emission_mean_rows_into(obs, cache, l1, rows, refs);
+  std::vector<const double*> plain_rows;
+  EstimatorCache::Pins refs;
+  ehmm.emission_mean_rows_into(obs, cache, l1, rows, refs, &plain_rows);
+  // One pin per slab the rows live in, never more than one per row.
+  EXPECT_GE(refs.size(), 1u);
+  EXPECT_LE(refs.size(), obs.size());
   const std::size_t k = ehmm.space().size();
   math::Matrix means(obs.size(), k, 0.0);
   if (plain != nullptr) *plain = math::Matrix(obs.size(), k, 0.0);
   for (std::size_t n = 0; n < obs.size(); ++n) {
-    EXPECT_EQ(rows[n], refs[n]->mean.data()) << "n=" << n;
-    const std::vector<double>& plain_row =
-        refs[n]->plain.empty() ? refs[n]->mean : refs[n]->plain;
     for (std::size_t i = 0; i < k; ++i) {
       means(n, i) = rows[n][i];
-      if (plain != nullptr) (*plain)(n, i) = plain_row[i];
+      if (plain != nullptr) (*plain)(n, i) = plain_rows[n][i];
     }
   }
-  if (l1_hits != nullptr) *l1_hits = l1.hits();
   return means;
 }
 
@@ -77,12 +75,11 @@ TEST(EstimatorCache, HitIsBitIdenticalToMiss) {
   const EstimatorCache::Stats after_cold = cache.stats();
   EXPECT_GT(after_cold.insertions, 0u);
 
-  std::uint64_t l1_hits = 0;
-  const math::Matrix warm = mean_matrix(ehmm, obs, cache, nullptr, &l1_hits);
+  const math::Matrix warm = mean_matrix(ehmm, obs, cache);
   const EstimatorCache::Stats after_warm = cache.stats();
-  // Every row of the second pass that its fresh L1 did not serve hits
-  // the shared memo; nothing misses, nothing is inserted.
-  EXPECT_EQ(after_warm.hits - after_cold.hits + l1_hits, obs.size());
+  // Every row of the second pass hits; nothing misses, nothing is
+  // inserted.
+  EXPECT_EQ(after_warm.hits - after_cold.hits, obs.size());
   EXPECT_EQ(after_warm.misses, after_cold.misses);
   EXPECT_EQ(after_warm.insertions, after_cold.insertions);
   expect_matrix_eq(cold, warm);
@@ -167,6 +164,38 @@ TEST(EstimatorCache, CapacityFlushKeepsResultsCorrect) {
   const EstimatorCache::Stats stats = tiny.stats();
   EXPECT_LE(stats.entries, 8u);
   EXPECT_GT(stats.flushes, 0u);
+}
+
+TEST(EstimatorCache, ColdMissesAllocatePerSlabNotPerRow) {
+  // A cold 300-row session at the engine's default grid: rows land in
+  // block-allocated slabs, so the allocations are bounded by the slabs
+  // the misses fill (rounded up per shard) plus one index table per
+  // shard, not by the row count.
+  const core::InferenceEngine engine{core::VeritasConfig{}};
+  const Ehmm& ehmm = engine.ehmm();
+  const auto obs = session_obs(31, 300);
+  ASSERT_EQ(obs.size(), 300u);
+
+  const EstimatorCache::Config config;
+  EstimatorCache cache(config);
+  EstimatorCache::L1 l1;
+  std::vector<const double*> rows;
+  EstimatorCache::Pins refs;
+  ehmm.emission_mean_rows_into(obs, cache, l1, rows, refs);
+
+  const EstimatorCache::Stats stats = cache.stats();
+  ASSERT_GT(stats.misses, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, obs.size());
+  const std::size_t per_slab =
+      EstimatorCache::rows_per_slab(ehmm.space().size(), false);
+  ASSERT_GT(per_slab, 1u);
+  const std::size_t slab_bound =
+      (stats.misses + per_slab - 1) / per_slab + config.shards;
+  EXPECT_LE(stats.slabs, slab_bound);
+  EXPECT_LE(stats.index_allocations, config.shards);
+  EXPECT_LT(stats.slabs + stats.index_allocations, stats.misses);
+  // The session pins each slab it read once.
+  EXPECT_LE(refs.size(), stats.slabs);
 }
 
 TEST(EstimatorCache, EngineSharesOneCacheAcrossSessionsAndScratches) {

@@ -1,9 +1,9 @@
-// The per-lane lock-free L1 front-cache over the shared (W, S)
-// estimator memo (PR 7 tentpole): direct table semantics (find/put,
-// owner/epoch re-keying, displacement), clear()-driven epoch
-// invalidation, capacity-flush survival through the shared_ptr pins,
-// lane hopping between engines, and end-to-end bit-identity of the
-// L1-hit / L0-hit / miss branches of the zero-copy emission rows path.
+// The lane-side handle on the shared (W, S) estimator cache
+// (EstimatorCache::L1): find/insert round trips, owner/epoch re-keying,
+// clear()-driven epoch invalidation, slab pins surviving capacity
+// flushes and clears, lane hopping between engines, and end-to-end
+// bit-identity of every row branch (miss, hit from another lane, warm
+// repeat) against a cache-disabled engine.
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -17,6 +17,7 @@
 #include "core/inference_engine.hpp"
 #include "core/test_helpers.hpp"
 #include "trace/trace_generator.hpp"
+#include "util/expects.hpp"
 
 namespace {
 
@@ -49,111 +50,165 @@ EstimatorCache::Key key_for(double size_bytes, std::uint64_t table_id = 1) {
   return EstimatorCache::key_of(w, size_bytes, table_id);
 }
 
-std::shared_ptr<const EstimatorCache::Entry> entry_with(double v) {
-  auto entry = std::make_shared<EstimatorCache::Entry>();
-  entry->mean = {v, v + 1.0, v + 2.0};
-  return entry;
+const EstimatorCache::Entry* get(const EstimatorCache& cache,
+                                 EstimatorCache::L1& lane,
+                                 EstimatorCache::Pins& pins,
+                                 const EstimatorCache::Key& key) {
+  return cache.find(key, EstimatorCache::hash_of(key), lane, pins);
+}
+
+/// Stores the row {v, v + 1, v + 2} under `key`.
+const EstimatorCache::Entry* put(EstimatorCache& cache,
+                                 EstimatorCache::L1& lane,
+                                 EstimatorCache::Pins& pins,
+                                 const EstimatorCache::Key& key, double v) {
+  const double row[3] = {v, v + 1.0, v + 2.0};
+  return cache.insert(key, EstimatorCache::hash_of(key), row, {}, lane, pins);
+}
+
+EstimatorCache::Config one_shard(std::size_t capacity = 64) {
+  EstimatorCache::Config config;
+  config.capacity = capacity;
+  config.shards = 1;
+  return config;
 }
 
 TEST(EstimatorL1, FindPutRoundTripAndStats) {
-  EstimatorCache cache;
-  EstimatorCache::L1 l1;
-  l1.sync(cache);
+  // The lane-side find/insert round trip: a miss leaves its probe for the
+  // insert, a hit returns the stored entry itself, a repeat insert keeps
+  // the first writer's row, and rows served from one slab take one pin.
+  EstimatorCache cache(one_shard());
+  EstimatorCache::L1 lane;
+  EstimatorCache::Pins pins;
+  lane.sync(cache);
 
   const EstimatorCache::Key key = key_for(1000.0);
-  EXPECT_EQ(l1.find(key), nullptr);
-  EXPECT_EQ(l1.misses(), 1u);
+  EXPECT_EQ(get(cache, lane, pins, key), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_TRUE(pins.empty());
 
-  l1.put(key, entry_with(2.0));
-  const std::shared_ptr<const EstimatorCache::Entry>* hit = l1.find(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)->mean[0], 2.0);
-  EXPECT_EQ(l1.hits(), 1u);
+  const EstimatorCache::Entry* stored = put(cache, lane, pins, key, 2.0);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->size(), 3u);
+  EXPECT_EQ(stored->mean()[0], 2.0);
+  EXPECT_EQ(stored->mean()[2], 4.0);
+  EXPECT_EQ(stored->plain(), stored->mean());
+  EXPECT_EQ(get(cache, lane, pins, key), stored);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Same-key put overwrites in place rather than burning a second slot.
-  l1.put(key, entry_with(9.0));
-  hit = l1.find(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)->mean[0], 9.0);
+  // Same-key insert: the first writer wins and nothing is copied.
+  EXPECT_EQ(put(cache, lane, pins, key, 9.0), stored);
+  EXPECT_EQ(stored->mean()[0], 2.0);
 
-  // Distinct keys coexist.
+  // Distinct keys coexist, without a find() first too.
   const EstimatorCache::Key other = key_for(2000.0);
-  l1.put(other, entry_with(5.0));
-  ASSERT_NE(l1.find(other), nullptr);
-  ASSERT_NE(l1.find(key), nullptr);
+  const EstimatorCache::Entry* second = put(cache, lane, pins, other, 5.0);
+  EXPECT_EQ(get(cache, lane, pins, other), second);
+  EXPECT_EQ(get(cache, lane, pins, key), stored);
+
+  // Two rows: `plain` is stored behind `mean`.
+  const EstimatorCache::Key twin = key_for(3000.0);
+  const double mean[2] = {1.0, 2.0};
+  const double plain[2] = {3.0, 4.0};
+  const EstimatorCache::Entry* both = cache.insert(
+      twin, EstimatorCache::hash_of(twin), mean, plain, lane, pins);
+  EXPECT_EQ(both->mean()[1], 2.0);
+  EXPECT_EQ(both->plain()[0], 3.0);
+  EXPECT_EQ(both->plain()[1], 4.0);
+
+  const EstimatorCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.slabs, 1u);
+  EXPECT_EQ(pins.size(), 1u);
 }
 
 TEST(EstimatorL1, SyncDropsSlotsWhenTheOwnerChanges) {
-  EstimatorCache a, b;
-  EstimatorCache::L1 l1;
+  // sync() re-keys the handle to (owner, epoch) and forgets the session's
+  // pins: a lane that hops caches sees only the new owner's rows, and
+  // the first row it reads from a slab after a sync is pinned again.
+  EstimatorCache a(one_shard()), b(one_shard());
+  EstimatorCache::L1 lane;
   const EstimatorCache::Key key = key_for(1000.0);
 
-  l1.sync(a);
-  l1.put(key, entry_with(1.0));
-  l1.sync(a);  // same owner, same epoch: no-op
-  ASSERT_NE(l1.find(key), nullptr);
+  EstimatorCache::Pins pins;
+  lane.sync(a);
+  EXPECT_EQ(lane.owner(), &a);
+  put(a, lane, pins, key, 1.0);
+  ASSERT_NE(get(a, lane, pins, key), nullptr);
+  EXPECT_EQ(pins.size(), 1u);
 
-  l1.sync(b);  // lane hop: every slot dropped
-  EXPECT_EQ(l1.find(key), nullptr);
+  EstimatorCache::Pins hop;
+  lane.sync(b);
+  EXPECT_EQ(lane.owner(), &b);
+  EXPECT_EQ(get(b, lane, hop, key), nullptr);
+  // A handle synced to one cache cannot probe another.
+  EXPECT_THROW(get(a, lane, hop, key), ContractViolation);
 
-  l1.sync(a);  // hopping back does not resurrect anything
-  EXPECT_EQ(l1.find(key), nullptr);
+  EstimatorCache::Pins back;
+  lane.sync(a);
+  ASSERT_NE(get(a, lane, back, key), nullptr);
+  EXPECT_EQ(back.size(), 1u);
 }
 
 TEST(EstimatorL1, ClearBumpsTheEpochAndInvalidatesSlots) {
-  EstimatorCache cache;
+  EstimatorCache cache(one_shard());
   EXPECT_EQ(cache.epoch(), 0u);
 
-  EstimatorCache::L1 l1;
-  l1.sync(cache);
+  EstimatorCache::L1 lane;
+  EstimatorCache::Pins pins;
+  lane.sync(cache);
   const EstimatorCache::Key key = key_for(1000.0);
-  l1.put(key, entry_with(3.0));
-  ASSERT_NE(l1.find(key), nullptr);
+  const EstimatorCache::Entry* before = put(cache, lane, pins, key, 3.0);
 
   cache.clear();
   EXPECT_EQ(cache.epoch(), 1u);
-  // The stale pin survives until the next sync()...
-  l1.sync(cache);
-  // ...at which point the epoch mismatch drops it.
-  EXPECT_EQ(l1.find(key), nullptr);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  // The pin outlives the clear: the row stays readable...
+  EXPECT_EQ(before->mean()[0], 3.0);
+  EXPECT_EQ(before->mean()[2], 5.0);
+  // ...but is unreachable, and the next sync picks up the new epoch.
+  lane.sync(cache);
+  EXPECT_EQ(lane.epoch(), 1u);
+  EstimatorCache::Pins after;
+  EXPECT_EQ(get(cache, lane, after, key), nullptr);
 }
 
 TEST(EstimatorL1, CapacityFlushDoesNotBumpTheEpochOrDropPins) {
   // Entries are pure functions of their key, so a shard flush must not
-  // invalidate L1 pins: the pinned row can go unreachable in the shared
-  // memo but never stale. The L1 keeps serving it bit-for-bit.
+  // invalidate pins: the pinned row can go unreachable in the cache but
+  // never stale, and its slab lives until the pin drops.
   EstimatorCache::Config config;
   config.capacity = 8;
   config.shards = 2;
   EstimatorCache tiny(config);
 
-  EstimatorCache::L1 l1;
-  l1.sync(tiny);
-  const EstimatorCache::Key pinned_key = key_for(500.0);
-  const auto pinned = entry_with(7.0);
-  tiny.insert(pinned_key, pinned);
-  l1.put(pinned_key, pinned);
+  EstimatorCache::L1 lane;
+  EstimatorCache::Pins pins;
+  lane.sync(tiny);
+  const EstimatorCache::Entry* pinned =
+      put(tiny, lane, pins, key_for(500.0), 7.0);
 
-  // Blow well past capacity so every shard flushes at least once.
+  // Blow well past capacity so every shard flushes at least once; the
+  // junk rows' own pins drop as they go.
+  EstimatorCache::L1 churn;
   for (int i = 0; i < 64; ++i) {
-    tiny.insert(key_for(1000.0 + i), entry_with(double(i)));
+    EstimatorCache::Pins junk;
+    churn.sync(tiny);
+    put(tiny, churn, junk, key_for(1000.0 + i), double(i));
   }
   EXPECT_GT(tiny.stats().flushes, 0u);
   EXPECT_EQ(tiny.epoch(), 0u);
 
-  l1.sync(tiny);  // no-op: same owner, same epoch
-  const std::shared_ptr<const EstimatorCache::Entry>* hit =
-      l1.find(pinned_key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)->mean[0], 7.0);
-  EXPECT_EQ((*hit)->mean[2], 9.0);
+  EXPECT_EQ(pinned->mean()[0], 7.0);
+  EXPECT_EQ(pinned->mean()[2], 9.0);
 }
 
 TEST(EstimatorL1, WarmScratchRepeatInferBypassesTheSharedMemo) {
-  // Second inference through the same scratch: every emission tuple is
-  // already pinned in the lane's L1, so the shared memo sees zero new
-  // traffic (no hits, no misses, no insertions) and the results are
-  // bit-identical.
+  // Second inference through the same scratch: with one cache level
+  // there is nothing in front of the shared memo, so every row of the
+  // repeat is a single probe that hits — no misses, no insertions, one
+  // pin per slab — and the results are bit-identical.
   const auto gtbw =
       trace::make_traces(trace::TraceFamily::kFccLike, 1, 37)[0];
   const sim::SessionLog log = core::testing::deployed_log(gtbw, 40);
@@ -164,15 +219,16 @@ TEST(EstimatorL1, WarmScratchRepeatInferBypassesTheSharedMemo) {
   Ehmm::Scratch lane;
   const core::VeritasResult first = engine.infer(log, lane);
   const EstimatorCache::Stats after_first = engine.estimator_cache()->stats();
-  const std::uint64_t l1_hits_after_first = lane.estimator_l1.hits();
 
   const core::VeritasResult second = engine.infer(log, lane);
   const EstimatorCache::Stats after_second =
       engine.estimator_cache()->stats();
-  EXPECT_EQ(after_second.hits, after_first.hits);
+  EXPECT_GE(after_second.hits - after_first.hits,
+            core::observations_from_log(log).size());
   EXPECT_EQ(after_second.misses, after_first.misses);
   EXPECT_EQ(after_second.insertions, after_first.insertions);
-  EXPECT_GT(lane.estimator_l1.hits(), l1_hits_after_first);
+  EXPECT_LE(lane.emission_refs.size(), after_second.slabs);
+  EXPECT_EQ(lane.estimator_l1.owner(), engine.estimator_cache().get());
 
   EXPECT_EQ(first.log_likelihood, second.log_likelihood);
   ASSERT_EQ(first.map_states_mbps.size(), second.map_states_mbps.size());
@@ -183,12 +239,11 @@ TEST(EstimatorL1, WarmScratchRepeatInferBypassesTheSharedMemo) {
 }
 
 TEST(EstimatorL1, AllThreeRowBranchesAreBitIdentical) {
-  // The rows path has three ways to serve a tuple — L1 hit, shared-memo
-  // hit (cold L1), and a genuine miss/compute — and all three must
-  // produce the same bits as a cache-disabled engine. Lane A's first
-  // infer exercises miss + within-session L1 hits; lane B's infer the
-  // L0-hit branch (warm memo, cold L1); lane A's repeat the pure-L1
-  // branch.
+  // The rows path serves a tuple three ways — a genuine miss/compute, a
+  // hit on a row another lane computed, and a hit on a row this lane
+  // computed — and all three must produce the same bits as a
+  // cache-disabled engine. Lane A's first infer exercises the misses;
+  // lane B's infer the cross-lane hits; lane A's repeat its own hits.
   const auto gtbw =
       trace::make_traces(trace::TraceFamily::kFccLike, 1, 41)[0];
   const sim::SessionLog log = core::testing::deployed_log(gtbw, 40);
@@ -202,11 +257,11 @@ TEST(EstimatorL1, AllThreeRowBranchesAreBitIdentical) {
   const core::InferenceEngine cached{core::VeritasConfig{}};
   Ehmm::Scratch a, b;
   const core::VeritasResult miss_branch = cached.infer(log, a);
-  const core::VeritasResult l0_branch = cached.infer(log, b);
-  const core::VeritasResult l1_branch = cached.infer(log, a);
+  const core::VeritasResult other_lane_branch = cached.infer(log, b);
+  const core::VeritasResult same_lane_branch = cached.infer(log, a);
 
   for (const core::VeritasResult* r :
-       {&miss_branch, &l0_branch, &l1_branch}) {
+       {&miss_branch, &other_lane_branch, &same_lane_branch}) {
     EXPECT_EQ(r->log_likelihood, reference.log_likelihood);
     ASSERT_EQ(r->map_states_mbps.size(), reference.map_states_mbps.size());
     for (std::size_t i = 0; i < reference.map_states_mbps.size(); ++i) {
@@ -217,9 +272,9 @@ TEST(EstimatorL1, AllThreeRowBranchesAreBitIdentical) {
 }
 
 TEST(EstimatorL1, ClearMidLaneRecomputesIdentically) {
-  // clear() between two inferences through one scratch: the L1 re-syncs
-  // against the new epoch, the memo re-warms from scratch (insertions
-  // grow again), and the recomputed session is bit-identical.
+  // clear() between two inferences through one scratch: the handle
+  // re-syncs against the new epoch, the memo re-warms from scratch
+  // (insertions grow again), and the recomputed session is bit-identical.
   const auto gtbw =
       trace::make_traces(trace::TraceFamily::kFccLike, 1, 43)[0];
   const sim::SessionLog log = core::testing::deployed_log(gtbw, 30);
@@ -240,8 +295,8 @@ TEST(EstimatorL1, ClearMidLaneRecomputesIdentically) {
 
 TEST(EstimatorL1, LaneHoppingBetweenCachedEnginesStaysCorrect) {
   // One scratch serving two engines with distinct caches (and distinct
-  // candidate tables): the L1 re-keys on every hop, so neither engine
-  // ever observes the other's rows. Each result matches a fresh-scratch
+  // candidate tables): the handle re-keys on every hop, so neither
+  // engine ever observes the other's rows. Each result matches a fresh-scratch
   // reference bitwise.
   const auto gtbw =
       trace::make_traces(trace::TraceFamily::kFccLike, 1, 47)[0];
@@ -271,12 +326,12 @@ TEST(EstimatorL1, LaneHoppingBetweenCachedEnginesStaysCorrect) {
   }
 }
 
-// Chaos over the two-level cache: worker lanes replay sessions through
-// one under-provisioned shared memo while a mutator thread interleaves
-// clear()s (epoch bumps) and junk insertions (capacity flushes). Every
-// lane must keep producing bit-identical results throughout — the L1
-// pins keep served rows alive across flushes, and the epoch re-sync
-// keeps them coherent across clears. Run under TSan in CI.
+// Chaos over the shared cache: worker lanes replay sessions through one
+// under-provisioned cache while a mutator thread interleaves clear()s
+// (epoch bumps) and junk insertions (capacity flushes). Every lane must
+// keep producing bit-identical results throughout — the slab pins keep
+// served rows alive across flushes and clears. Run under TSan and ASan
+// in CI.
 TEST(EstimatorL1Chaos, LanesStayBitIdenticalUnderClearsAndFlushes) {
   const Ehmm ehmm = core::testing::small_ehmm();
   std::vector<std::vector<ChunkObservation>> sessions;
@@ -324,16 +379,19 @@ TEST(EstimatorL1Chaos, LanesStayBitIdenticalUnderClearsAndFlushes) {
   }
   std::thread mutator([&] {
     std::uint64_t junk = 0;
+    EstimatorCache::L1 lane;
     // do-while: at least one clear + churn cycle even if this thread is
     // scheduled only after the lanes already drained (single-core CI).
     do {
       shared->clear();
+      EstimatorCache::Pins pins;
+      lane.sync(*shared);
       // Junk rows under a foreign table id: churns shard occupancy (and
       // with it capacity flushes) without ever being readable by the
       // model above.
       for (int i = 0; i < 48; ++i) {
         const double value = double(++junk);
-        shared->insert(key_for(value, /*table_id=*/~0ull), entry_with(value));
+        put(*shared, lane, pins, key_for(value, /*table_id=*/~0ull), value);
       }
       std::this_thread::yield();
     } while (!stop.load(std::memory_order_relaxed));

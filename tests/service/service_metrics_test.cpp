@@ -54,7 +54,9 @@ TEST(ServiceMetrics, ExposesWorkloadCountersAndReconciles) {
   for (const sim::SessionLog* log : {&log0, &log1, &log0}) {
     Query q;
     q.log = *log;
-    q.shard = "a";
+    // Assigned from a std::string temporary: GCC 12 flags the inlined
+    // literal assignment with a false -Wrestrict.
+    q.shard = std::string("a");
     svc.submit(std::move(q)).get();
   }
   {
@@ -133,7 +135,7 @@ TEST(ServiceMetrics, ScrapeIsLiveAcrossSubsequentWork) {
   {
     Query q;
     q.log = test_log(80);
-    q.shard = "a";
+    q.shard = std::string("a");
     svc.submit(std::move(q)).get();
   }
   // Same registry, no re-registration: the collectors read live state.

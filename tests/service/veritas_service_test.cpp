@@ -405,7 +405,9 @@ TEST(VeritasService, TrySubmitReportsFullQueue) {
   std::size_t rejected = 0;
   for (int i = 0; i < 64; ++i) {
     Query query;
-    query.log = logs[0];
+    // Moved from a copy: GCC 12 flags the inlined vector copy-assignment
+    // with a false -Wnonnull.
+    query.log = sim::SessionLog(logs[0]);
     query.shard = "main";
     query.seed = static_cast<std::uint64_t>(i);  // all distinct jobs
     if (auto future = service.try_submit(std::move(query))) {
@@ -430,7 +432,7 @@ TEST(VeritasService, RejectedTrySubmitSkewsNoCounters) {
   std::vector<std::future<Expected<InferenceResult>>> accepted;
   for (int i = 0; i < 32; ++i) {
     Query query;
-    query.log = logs[0];
+    query.log = sim::SessionLog(logs[0]);
     query.shard = "main";
     query.seed = static_cast<std::uint64_t>(i);  // all distinct, no hits
     if (auto future = service.try_submit(std::move(query))) {
